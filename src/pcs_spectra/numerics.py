@@ -10,10 +10,13 @@ carry a clean h^2 error term, which refine_eigenvalue removes by
 pairing N with 2N+1 interior points (h exactly halved) and Richardson
 extrapolation.
 
-Nothing here trusts the closed-form towers: seeds speed the search up,
-but every accepted eigenpair is certified by its own residual and its
-boundary leak, and a rectangle scan hunts for states the formulas do
-not predict.
+Nothing here trusts the closed-form towers. bound_spectrum takes a
+census of every eigenvalue of a small dense operator on the same box
+(a stretched grid whose point count grows like log L), polishes the
+seeds and each census value below the threshold by inverse iteration
+on the fine grid, and certifies every result by its own residual and
+its boundary leak, so states the formulas do not predict are found
+too.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvals
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import BranchSign, PotentialCoefficients, SusyParams, pcs_partner_coefficients
@@ -47,7 +49,6 @@ __all__ = [
     "refine_eigenvalue",
     "bound_spectrum",
     "verify_spectrum",
-    "thread_cap",
 ]
 
 log = logging.getLogger(__name__)
@@ -68,21 +69,10 @@ _LEAK_HALF_WIDTH_FACTOR = 21.0
 # (exceptional) point that conditioning reaches 1e4; physical level
 # spacings here are many orders larger, so 1e-6 separates states safely
 _DEDUPE_TOL = 1e-6
-
-
-def thread_cap() -> int:
-    """Worker cap for shift scans; PCS_SPECTRA_THREADS overrides."""
-    raw = os.environ.get("PCS_SPECTRA_THREADS")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            log.warning("ignoring non-integer PCS_SPECTRA_THREADS=%r", raw)
-        else:
-            if value >= 1:
-                return value
-            log.warning("ignoring non-positive PCS_SPECTRA_THREADS=%r", raw)
-    return os.cpu_count() or 1
+# census values above the threshold that decay slower than this many
+# e-folds over the half-width are box continuum: they could only polish
+# into states the leak gate drops
+_CENSUS_MIN_DECAY_FOLDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -168,13 +158,15 @@ def discretize(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
     the constant tail e0 is subtracted, so bound states sit at negative
     real part and the continuum threshold is at zero.
     """
-    x = grid.points()
+    h = grid.h
+    diag = (2.0 / (h * h) + _potential(v, grid.points())).astype(np.complex128)
+    return DiscretizedOperator(diag=diag, offdiag=-1.0 / (h * h), grid=grid)
+
+
+def _potential(v: PotentialCoefficients, x: np.ndarray) -> np.ndarray:
     ax = v.alpha * x
     sech = 1.0 / np.cosh(ax)
-    pot = v.t2 * sech * sech + v.st * sech * np.tanh(ax)
-    h = grid.h
-    diag = (2.0 / (h * h) + pot).astype(np.complex128)
-    return DiscretizedOperator(diag=diag, offdiag=-1.0 / (h * h), grid=grid)
+    return v.t2 * sech * sech + v.st * sech * np.tanh(ax)
 
 
 def _boundary_leak(v: np.ndarray) -> float:
@@ -286,44 +278,34 @@ def refine_eigenvalue(
     )
 
 
-def _scan_shifts(v: PotentialCoefficients, seeds, re_limit: float) -> list[complex]:
-    # Rectangle of fallback shifts covering everything below the
-    # continuum threshold. With seeds, the rectangle hugs their range;
-    # blind, it falls back to coefficient bounds (|sech tanh| <= 1/2).
-    a2 = v.alpha * v.alpha
-    if seeds:
-        re_lo = min(s.real for s in seeds) - 1.0
-        im_mag = max(abs(s.imag) for s in seeds) + 1.0
-    else:
-        re_lo = -(abs(v.t2.real) + 0.5 * abs(v.st.real)) - 1.0
-        im_mag = abs(v.t2.imag) + 0.5 * abs(v.st.imag) + 1.0
-    n_re = int(math.ceil((re_limit - re_lo) / (0.25 * a2))) + 1
-    n_re = min(61, max(2, n_re))
-    n_im = 2 * int(math.ceil(im_mag / (0.5 * a2))) + 1
-    n_im = min(25, max(3, n_im))
-    res = np.linspace(re_lo, re_limit, n_re)
-    ims = np.linspace(-im_mag, im_mag, n_im)
-    return [complex(r, i) for i in ims for r in res]
-
-
-def _solve_many(op: DiscretizedOperator, shifts, tol: float, max_iter: int):
-    def work(sigma):
-        try:
-            return eigen_near(op, sigma, tol, max_iter)
-        except NoConvergence as exc:
-            log.debug("shift %s: %s", sigma, exc)
-            return None
-        except SingularShift as exc:
-            log.debug("shift %s: %s", sigma, exc)
-            return None
-
-    workers = min(thread_cap(), len(shifts)) if shifts else 1
-    if workers <= 1:
-        return [work(s) for s in shifts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map preserves submission order, so the merge downstream is
-        # deterministic no matter how the pool schedules the work
-        return list(pool.map(work, shifts))
+def _census(v: PotentialCoefficients, grid: Grid) -> list[complex]:
+    # Every eigenvalue of a coarse operator on the same Dirichlet box,
+    # sorted. Nodes x = a sinh(xi / a) with xi uniform are nearly
+    # uniform over the well (|x| < a = 4 ranges), with dxi set by the
+    # fastest local oscillation sqrt(|V| + alpha^2) that a bound state
+    # can have, and spread out geometrically along the tails, so the
+    # point count grows like log L rather than L; a three-point
+    # non-uniform Laplacian keeps the operator tridiagonal. The values
+    # land within a few hundredths of the fine-grid levels (a few tenths
+    # for the two halves of a split exceptional pair), close enough for
+    # inverse iteration to take over, and never cost more points than
+    # grid itself.
+    a = 4.0 / v.alpha
+    v_max = abs(v.t2) + 0.5 * abs(v.st)
+    dxi = 0.5 / math.sqrt(v_max + v.alpha * v.alpha)
+    xi_max = a * math.asinh(grid.L / a)
+    n = min(grid.N, max(3, int(math.ceil(2.0 * xi_max / dxi)) - 1))
+    x = a * np.sinh(np.linspace(-xi_max, xi_max, n + 2) / a)
+    step = np.diff(x)
+    lo, hi = step[:-1], step[1:]
+    width = lo + hi
+    j = np.arange(n)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    mat[j, j] = 2.0 / (lo * hi) + _potential(v, x[1:-1])
+    mat[j[1:], j[:-1]] = -2.0 / (lo[1:] * width[1:])
+    mat[j[:-1], j[1:]] = -2.0 / (hi[:-1] * width[:-1])
+    values = eigvals(mat, overwrite_a=True, check_finite=False)
+    return sorted((complex(z) for z in values), key=energy_sort_key)
 
 
 def bound_spectrum(
@@ -338,13 +320,17 @@ def bound_spectrum(
 ) -> list[EigenResult]:
     """All certified eigenvalues with Re(E) below the threshold.
 
-    Seeds (analytic predictions, when available) are tried first, then
-    a rectangle scan of shifts guards against unpredicted states. Runs
-    converging to Re(E) >= re_limit are discarded; re_limit = 0 is the
-    continuum threshold of the e0-subtracted operator, and callers may
-    raise it to chase normalizable states whose energy has crept past
-    zero real part in the broken phase. Eigenvalues closer than 1e-6
-    are considered the same state.
+    Shifts are the seeds (analytic predictions, when available) and a
+    census: every eigenvalue of a small dense operator on the same box
+    with real part below re_limit, less those above zero real part that
+    decay too slowly across the box to pass the leak gate. Each shift is
+    polished by inverse iteration on the given grid, so the census
+    guards against states the seeds do not predict. Runs converging to
+    Re(E) >= re_limit are discarded; re_limit = 0 is the continuum
+    threshold of the e0-subtracted operator, and callers may raise it to
+    chase normalizable states whose energy has crept past zero real part
+    in the broken phase. Eigenvalues closer than 1e-6 are considered the
+    same state.
 
     Raises:
         DomainTooSmall: a converged state at Re(E) <= 0 still has
@@ -354,13 +340,20 @@ def bound_spectrum(
             continuum and are dropped instead.
     """
     op = discretize(v, grid)
+    min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
     shifts = [complex(s) for s in seeds]
-    shifts += _scan_shifts(v, shifts, re_limit)
-    outcomes = _solve_many(op, shifts, tol, max_iter)
+    shifts += [
+        z
+        for z in _census(v, grid)
+        if z.real < re_limit and not (z.real > 0.0 and _decay_rate(z) < min_decay)
+    ]
 
     accepted: list[EigenResult] = []
-    for res in outcomes:
-        if res is None:
+    for shift in shifts:
+        try:
+            res = eigen_near(op, shift, tol, max_iter)
+        except (NoConvergence, SingularShift) as exc:
+            log.debug("shift %s: %s", shift, exc)
             continue
         if res.energy.real >= re_limit:
             continue

@@ -18,7 +18,7 @@ from pcs_spectra import (
     refine_eigenvalue,
     verify_spectrum,
 )
-from pcs_spectra.numerics import thread_cap
+from pcs_spectra import numerics
 
 PLUS = BranchSign.PLUS
 
@@ -102,13 +102,41 @@ class TestRefine:
 
 
 class TestBoundSpectrum:
-    def test_blind_scan_finds_exactly_the_tower(self):
-        # no seeds: the rectangle scan alone must locate all three
-        # levels, once each, and nothing else
-        found = bound_spectrum(POSCHL_TELLER_3, Grid(L=22.0, N=2750))
-        assert len(found) == 3
-        got = sorted(r.energy.real for r in found)
-        assert np.allclose(got, [-9, -4, -1], atol=1e-3)
+    @pytest.mark.parametrize(
+        "v, grid, re_limit, levels",
+        [
+            pytest.param(
+                POSCHL_TELLER_3, Grid(L=22.0, N=2750), 0.0,
+                [(-9, 1), (-4, 1), (-1, 1)],
+                id="poschl-teller",
+            ),
+            pytest.param(
+                # broken phase: the top level sits above Re E = 0
+                pcs_partner_coefficients(SusyParams(2, 3, 1, 1), PLUS),
+                Grid(L=42.0, N=14000), 0.85,
+                [(-5.25 + 5j, 1), (-3 - 4j, 1), (-1.25 + 3j, 1), (-2j, 1), (0.75 + 1j, 1)],
+                id="broken-above-threshold",
+            ),
+            pytest.param(
+                # exceptional point: one defective level, split in two
+                # by the discretization
+                pcs_partner_coefficients(SusyParams(1.5, 2.5, 0, 2), PLUS),
+                Grid(L=14.0, N=4000), 0.0,
+                [(-2.25, 2)],
+                id="exceptional-pair",
+            ),
+        ],
+    )
+    def test_blind_scan_finds_exactly_the_tower(self, v, grid, re_limit, levels):
+        # no seeds: the census alone must locate every level, once each
+        # (a defective one as a split pair), and nothing else
+        found = [r.energy for r in bound_spectrum(v, grid, re_limit=re_limit)]
+        assert len(found) == sum(mult for _, mult in levels)
+        for energy, mult in levels:
+            near = [z for z in found if abs(z - energy) < (1e-3 if mult == 1 else 5e-2)]
+            assert len(near) == mult
+            if mult == 2:
+                assert abs(near[0] - near[1]) > 1e-6
 
     def test_clipped_state_raises(self):
         with pytest.raises(DomainTooSmall):
@@ -155,15 +183,20 @@ class TestVerifySpectrum:
         assert not rep.passed
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("PCS_SPECTRA_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("PCS_SPECTRA_THREADS", "not a number")
-    assert thread_cap() >= 1
-    monkeypatch.setenv("PCS_SPECTRA_THREADS", "0")
-    assert thread_cap() >= 1
-    monkeypatch.delenv("PCS_SPECTRA_THREADS")
-    assert thread_cap() >= 1
+def test_verify_solve_count_is_bounded(monkeypatch):
+    # the census hands the fine grid one shift per level, so a broken
+    # well with five levels needs a few dozen solves, not hundreds
+    calls = []
+    solve = numerics.eigen_near
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eigen_near", counting)
+    rep = verify_spectrum(SusyParams(2, 3, 1, 1))
+    assert rep.passed
+    assert len(calls) <= 50
 
 
 def test_default_grid_scales_with_range():
