@@ -33,7 +33,6 @@ from .errors import (
     DegenerateB,
     DomainTooSmall,
     LadderExhausted,
-    NewtonDivergence,
     NoConvergence,
     NoRealFactorization,
     PcsSpectraError,
@@ -134,5 +133,4 @@ __all__ = [
     "SingularShift",
     "DomainTooSmall",
     "DegenerateB",
-    "NewtonDivergence",
 ]

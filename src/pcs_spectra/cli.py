@@ -19,7 +19,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
+import typing
 
 import numpy as np
 
@@ -60,7 +62,13 @@ class UsageError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: command, well parameters, overrides."""
+    """Fully resolved invocation: command, well parameters, overrides.
+
+    The fields are the config file's keys, except that ``params`` stands
+    for the SusyParams fields A, B, C and alpha (top level, or nested in
+    a "params" object). A field's annotation is its key's type, and its
+    default applies when neither the config file nor a flag sets it.
+    """
 
     command: str
     params: SusyParams
@@ -136,28 +144,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_SCHEMA: dict[str, type] = {
-    "command": str,
-    "A": float,
-    "B": float,
-    "C": float,
-    "alpha": float,
-    "branch": str,
-    "L": float,
-    "N": int,
-    "tol": float,
-    "tol_match": float,
-    "auto_domain": bool,
-    "out": str,
-    "format": str,
-    "c_min": float,
-    "c_max": float,
-    "steps": int,
-    "verify_at": list,
+# SusyParams requires every well parameter; the CLI defaults these two.
+_WELL_DEFAULTS = {"C": 0.0, "alpha": 1.0}
+
+
+def _fields(cls) -> dict[str, tuple[object, object]]:
+    """Field name -> (resolved annotation, default or dataclasses.MISSING)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+_WELL_FIELDS = {
+    key: (hint, _WELL_DEFAULTS.get(key, default))
+    for key, (hint, default) in _fields(SusyParams).items()
+}
+_CONFIG_FIELDS = {
+    **_WELL_FIELDS,
+    **{key: field for key, field in _fields(RunConfig).items() if key != "params"},
 }
 
 
-def _coerce(key: str, value, want: type):
+def _coerce(key: str, value, hint):
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise UsageError(f"config field {key!r} must be a list of numbers, got {value!r}")
+        out = []
+        for item in value:
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise UsageError(f"config field {key!r} must contain only numbers")
+            out.append(float(item))
+        return tuple(out)
+    # an optional field takes the type it has when set
+    want = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"config field {key!r} must be a number, got {value!r}")
@@ -170,20 +188,10 @@ def _coerce(key: str, value, want: type):
         if not isinstance(value, bool):
             raise UsageError(f"config field {key!r} must be true/false, got {value!r}")
         return value
-    if want is str:
-        if not isinstance(value, str):
-            raise UsageError(f"config field {key!r} must be a string, got {value!r}")
-        return value
-    if want is list:
-        if not isinstance(value, list):
-            raise UsageError(f"config field {key!r} must be a list of numbers, got {value!r}")
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise UsageError(f"config field {key!r} must contain only numbers")
-            out.append(float(item))
-        return out
-    raise AssertionError(key)
+    # str, or BranchSign, which flags and config name by its value
+    if not isinstance(value, str):
+        raise UsageError(f"config field {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -202,31 +210,35 @@ def _load_config(path: str) -> dict:
         if not isinstance(params, dict):
             raise UsageError("config field 'params' must be an object")
         for key, value in params.items():
-            if key not in ("A", "B", "C", "alpha"):
+            if key not in _WELL_FIELDS:
                 raise UsageError(f"unknown config field params.{key}")
             flat[key] = value
     for key, value in raw.items():
-        if key not in _CONFIG_SCHEMA:
+        if key not in _CONFIG_FIELDS:
             raise UsageError(f"unknown config field {key!r}")
         flat[key] = value
-    return {key: _coerce(key, value, _CONFIG_SCHEMA[key]) for key, value in flat.items()}
+    return {key: _coerce(key, value, _CONFIG_FIELDS[key][0]) for key, value in flat.items()}
 
 
-def _positive(name: str, value) -> None:
-    if value is not None and not value > 0:
+def _number(name: str, value, positive: bool = False) -> None:
+    # json.load and float() both accept inf and nan, which no field means
+    if value is None:
+        return
+    if positive and not value > 0:
         raise UsageError(f"--{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise UsageError(f"--{name} must be finite, got {value}")
 
 
 def assemble_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, flags, and (highest precedence) the config file."""
-    merged = {
-        key: getattr(args, key, None)
-        for key in (
-            "A", "B", "C", "alpha", "branch", "L", "N", "tol", "tol_match",
-            "out", "format", "c_min", "c_max", "steps", "verify_at",
-        )
+    given = {
+        key: getattr(args, key)
+        for key in _CONFIG_FIELDS
+        if getattr(args, key, None) is not None
     }
-    merged["auto_domain"] = False if getattr(args, "no_auto_domain", False) else None
+    if getattr(args, "no_auto_domain", False):
+        given["auto_domain"] = False
     command = args.command
     if args.config:
         overrides = _load_config(args.config)
@@ -235,56 +247,44 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(
                 f"config command {cfg_command!r} conflicts with invoked command {command!r}"
             )
-        for key, value in overrides.items():
-            merged[key] = value
+        given.update(overrides)
 
-    if merged["A"] is None or merged["B"] is None:
+    if "format" not in given and given.get("out", "").lower().endswith(".csv"):
+        given["format"] = "csv"
+    merged = {
+        key: default
+        for key, (_, default) in _CONFIG_FIELDS.items()
+        if default is not dataclasses.MISSING
+    }
+    merged.update(given)
+    if merged.keys() != _CONFIG_FIELDS.keys():
         raise UsageError("--A and --B are required (flags or config)")
-    a = merged["alpha"] if merged["alpha"] is not None else 1.0
-    c = merged["C"] if merged["C"] is not None else 0.0
-    _positive("alpha", a)
-    _positive("L", merged["L"])
-    _positive("tol", merged["tol"])
-    _positive("tol-match", merged["tol_match"])
+    _number("alpha", merged["alpha"], positive=True)
+    _number("L", merged["L"], positive=True)
+    _number("tol", merged["tol"], positive=True)
+    _number("tol-match", merged["tol_match"], positive=True)
+    _number("C-min", merged["c_min"])
+    _number("C-max", merged["c_max"])
+    for c_value in merged["verify_at"]:
+        _number("verify-at", c_value)
     if merged["N"] is not None and merged["N"] < 3:
         raise UsageError(f"--N must be at least 3, got {merged['N']}")
-    if merged["steps"] is not None and merged["steps"] < 1:
+    if merged["steps"] < 1:
         raise UsageError(f"--steps must be at least 1, got {merged['steps']}")
-    fmt = merged["format"]
-    if fmt is None and merged["out"] is not None and str(merged["out"]).lower().endswith(".csv"):
-        fmt = "csv"
-    if fmt is None:
-        fmt = "json"
-    if fmt not in ("json", "csv"):
-        raise UsageError(f"--format must be json or csv, got {fmt!r}")
-    if fmt == "csv" and command not in _CSV_COMMANDS:
+    if merged["format"] not in ("json", "csv"):
+        raise UsageError(f"--format must be json or csv, got {merged['format']!r}")
+    if merged["format"] == "csv" and command not in _CSV_COMMANDS:
         raise UsageError(f"--format csv is only available for {', '.join(_CSV_COMMANDS)}")
-    branch = merged["branch"] if merged["branch"] is not None else "plus"
     try:
-        branch = BranchSign.from_string(branch)
-        params = SusyParams(A=merged["A"], B=merged["B"], C=c, alpha=a)
+        if isinstance(merged["branch"], str):
+            merged["branch"] = BranchSign.from_string(merged["branch"])
+        merged["params"] = SusyParams(**{key: merged.pop(key) for key in _WELL_FIELDS})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    c_min = merged["c_min"] if merged["c_min"] is not None else 0.0
-    c_max = merged["c_max"] if merged["c_max"] is not None else 1.0
-    if command == "bifurcation" and c_max < c_min:
-        raise UsageError(f"--C-max {c_max} is below --C-min {c_min}")
-    return RunConfig(
-        command=command,
-        params=params,
-        branch=branch,
-        L=merged["L"],
-        N=merged["N"],
-        tol=merged["tol"] if merged["tol"] is not None else DEFAULT_TOL,
-        tol_match=merged["tol_match"] if merged["tol_match"] is not None else DEFAULT_TOL_MATCH,
-        auto_domain=merged["auto_domain"] if merged["auto_domain"] is not None else True,
-        out=merged["out"],
-        format=fmt,
-        c_min=c_min,
-        c_max=c_max,
-        steps=merged["steps"] if merged["steps"] is not None else 11,
-        verify_at=tuple(merged["verify_at"]) if merged["verify_at"] else (),
-    )
+    if command == "bifurcation" and merged["c_max"] < merged["c_min"]:
+        raise UsageError(f"--C-max {merged['c_max']} is below --C-min {merged['c_min']}")
+    merged["verify_at"] = tuple(merged["verify_at"])
+    return RunConfig(**merged)
 
 
 def _c(z: complex) -> dict:
@@ -475,15 +475,13 @@ def _cmd_bifurcation(cfg: RunConfig):
         for pt in points
     ]
 
-    rows = []
-    for c_value in c_grid:
-        pc = dataclasses.replace(p0, C=c_value)
-        for branch in (BranchSign.PLUS, BranchSign.MINUS):
-            for s in two_series_spectrum(pc, branch):
-                rows += [
-                    (c_value, branch.value, s.label, n, e.real, e.imag, "")
-                    for n, e in enumerate(s.energies)
-                ]
+    rows = [
+        (pt.C, branch.value, s.label, n, e.real, e.imag, "")
+        for pt in points
+        for branch, towers in ((BranchSign.PLUS, pt.plus), (BranchSign.MINUS, pt.minus))
+        for s in towers
+        for n, e in enumerate(s.energies)
+    ]
 
     exit_code = 0
     if cfg.verify_at:

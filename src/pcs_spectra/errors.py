@@ -44,7 +44,3 @@ class DomainTooSmall(PcsSpectraError):
 
 class DegenerateB(PcsSpectraError):
     """Every candidate algebra solution has b = 0, leaving m undefined."""
-
-
-class NewtonDivergence(PcsSpectraError):
-    """A Newton start failed to converge; logged per start, never fatal."""

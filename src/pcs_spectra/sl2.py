@@ -7,24 +7,18 @@ the sech^2 / sech tanh profile produced by the supersymmetric
 construction. Matching the two coefficient pairs links the algebraic
 labels (m, b) to the superpotential data and turns the discrete
 spectrum into a statement about unitary representations.
-
-The matching conditions are polynomial, so besides the closed-form
-root extraction there is an independent Newton route used to
-cross-check it; disagreement is logged loudly rather than papered
-over.
 """
 
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BranchSign, PotentialCoefficients, SusyParams, pcs_partner_coefficients
-from .errors import DegenerateB, NewtonDivergence
+from .errors import DegenerateB
 
 __all__ = [
     "Sl2Params",
@@ -34,8 +28,6 @@ __all__ = [
     "m_square_identities",
     "solve_correspondence",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _finite_complex(name: str, z: complex) -> complex:
@@ -212,60 +204,6 @@ def _polish(m, b, t2, st, alpha, steps: int = 2):
     return m, b, _pair_residual(m, b, t2, st, alpha)
 
 
-def _newton_pairs(p: SusyParams, branch: BranchSign) -> list[tuple[complex, complex]]:
-    t2, st = _profile_targets(p, branch)
-    a = p.alpha
-    scale = max(1.0, abs(t2), abs(st), a)
-    found: list[tuple[complex, complex]] = []
-    diverged = 0
-    for br in (1.0, 3.0):
-        for bi in (1.0, -1.0, 3.0, -3.0):
-            b = complex(br, bi)
-            ok = False
-            for _ in range(100):
-                # scalar Newton on g(b) = b^2 + a^2/4 - st^2/(4 b^2) - t2,
-                # the m-eliminated matching condition
-                g = b * b + 0.25 * a * a - st * st / (4.0 * b * b) - t2
-                if abs(g) <= 1e-12 * scale:
-                    ok = True
-                    break
-                dg = 2.0 * b + st * st / (2.0 * b * b * b)
-                if dg == 0:
-                    break
-                step = g / dg
-                # damped update: halve until |g| does not grow
-                lam = 1.0
-                for _ in range(8):
-                    trial = b - lam * step
-                    if trial != 0:
-                        gt = (
-                            trial * trial
-                            + 0.25 * a * a
-                            - st * st / (4.0 * trial * trial)
-                            - t2
-                        )
-                        if abs(gt) < abs(g):
-                            break
-                    lam *= 0.5
-                b = b - lam * step
-                if b == 0:
-                    break
-            if not ok:
-                diverged += 1
-                log.debug("newton start %s did not converge for %s", complex(br, bi), p)
-                continue
-            try:
-                m = solve_m_given_b(b, p, branch)
-            except DegenerateB:
-                continue
-            found.append((m, b))
-    if not found:
-        raise NewtonDivergence(
-            f"all {diverged} starting points diverged while cross-checking {p}"
-        )
-    return found
-
-
 def _canonical(pairs):
     # one representative per +/- orbit: principal-branch b first; clamp
     # rounding dust before picking the sign so all but the true sign of
@@ -295,37 +233,15 @@ def _canonical(pairs):
 def solve_correspondence(
     p: SusyParams,
     branch: BranchSign = BranchSign.PLUS,
-    cross_check: bool = True,
 ) -> list[tuple[complex, complex]]:
     """All algebraic labels (m, b) realizing the given well.
 
     Eliminating m reduces the matching to a quadratic in b^2, giving up
     to two +/- orbits of solutions; each is returned once, with b on
-    the side of the principal square root, ordered by b^2. With
-    cross_check (default), an independent damped-Newton search from
-    eight starting points must land on the same orbits; a mismatch is
-    logged as an error but the closed-form answer is still returned.
+    the side of the principal square root, ordered by b^2.
 
     Raises:
         DegenerateB: the only matching roots have b = 0 (then m is
             undetermined and no labeling exists).
     """
-    closed = _canonical(_closed_form_pairs(p, branch))
-    if cross_check:
-        try:
-            newton = _canonical(_newton_pairs(p, branch))
-        except NewtonDivergence as exc:
-            log.error("newton cross-check failed: %s", exc)
-        else:
-            for m, b in newton:
-                hit = any(
-                    abs(m - cm) < 1e-6 and abs(b - cb) < 1e-6 for cm, cb in closed
-                )
-                if not hit:
-                    log.error(
-                        "newton found (m=%s, b=%s) missing from closed-form set %s",
-                        m,
-                        b,
-                        closed,
-                    )
-    return closed
+    return _canonical(_closed_form_pairs(p, branch))

@@ -59,20 +59,33 @@ class SpectrumSeries:
 
 
 @dataclass(frozen=True)
-class BifurcationPoint:
-    """Both-branch level sets at one value of the PT-breaking coupling."""
-
-    C: float
-    energies_plus: tuple[complex, ...]
-    energies_minus: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class BrokenSpectrum:
     """Tower pairs for both branches at C != 0."""
 
     plus: tuple[SpectrumSeries, SpectrumSeries]
     minus: tuple[SpectrumSeries, SpectrumSeries]
+
+
+@dataclass(frozen=True)
+class BifurcationPoint:
+    """Both-branch tower pairs at one value of the PT-breaking coupling.
+
+    At C = 0 the branches coincide, and plus and minus hold the same
+    (plus-branch) towers. energies_plus and energies_minus merge each
+    pair into one sorted level set.
+    """
+
+    C: float
+    plus: tuple[SpectrumSeries, SpectrumSeries]
+    minus: tuple[SpectrumSeries, SpectrumSeries]
+
+    @property
+    def energies_plus(self) -> tuple[complex, ...]:
+        return _branch_energies(self.plus)
+
+    @property
+    def energies_minus(self) -> tuple[complex, ...]:
+        return _branch_energies(self.minus)
 
 
 def shape_invariance_step(w: Superpotential):
@@ -178,15 +191,8 @@ def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
         q = replace(p0, C=float(c))
         if q.C == 0.0:
             towers = two_series_spectrum(q, BranchSign.PLUS)
-            merged = _branch_energies(towers)
-            points.append(BifurcationPoint(C=q.C, energies_plus=merged, energies_minus=merged))
+            points.append(BifurcationPoint(C=q.C, plus=towers, minus=towers))
         else:
             bs = broken_spectrum(q)
-            points.append(
-                BifurcationPoint(
-                    C=q.C,
-                    energies_plus=_branch_energies(bs.plus),
-                    energies_minus=_branch_energies(bs.minus),
-                )
-            )
+            points.append(BifurcationPoint(C=q.C, plus=bs.plus, minus=bs.minus))
     return points

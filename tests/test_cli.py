@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
-from pcs_spectra.cli import run
+import pcs_spectra.spectra
+from pcs_spectra import DEFAULT_TOL, DEFAULT_TOL_MATCH, BranchSign, SusyParams
+from pcs_spectra.cli import RunConfig, assemble_config, build_parser, run
 
 A23 = ["--A", "2", "--B", "3", "--alpha", "1"]
 
@@ -158,6 +161,36 @@ class TestBifurcation:
         assert code == 0
         assert json.loads(out2.read_text())["schema_version"] == "1.0"
 
+    def test_towers_computed_once_rows_equal_json(self, capsys, monkeypatch):
+        original = pcs_spectra.spectra.two_series_spectrum
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "pcs_spectra" and (
+                getattr(module, "two_series_spectrum", None) is original
+            ):
+                monkeypatch.setattr(module, "two_series_spectrum", counted)
+        argv = ["bifurcation", *A23, "--C-min", "0", "--C-max", "1", "--steps", "11"]
+        code, d = run_json(capsys, argv)
+        assert code == 0
+        # one pair of towers at C = 0, one per branch at each other C
+        assert len(calls) <= 2 * 11
+        code, rows = run_csv(capsys, argv)
+        assert code == 0
+        for pt in d["points"]:
+            for branch in ("plus", "minus"):
+                got = sorted(
+                    (r[4], r[5]) for r in rows[1:] if r[0] == repr(pt["C"]) and r[1] == branch
+                )
+                want = sorted(
+                    (repr(e["re"]), repr(e["im"])) for e in pt[f"energies_{branch}"]
+                )
+                assert got == want, (pt["C"], branch)
+
     def test_verify_at(self, capsys):
         code, d = run_json(
             capsys,
@@ -182,15 +215,32 @@ class TestUsageErrors:
     def test_csv_not_available_for_analyze(self, capsys):
         assert run(["analyze", "--A", "2", "--B", "3", "--format", "csv"]) == 2
 
-    def test_bad_numeric_overrides(self, capsys):
+    def test_bad_numeric_overrides(self, capsys, tmp_path):
         assert run(["verify", "--A", "2", "--B", "3", "--N", "2"]) == 2
         assert run(["verify", "--A", "2", "--B", "3", "--L", "-4"]) == 2
         assert run(["verify", "--A", "2", "--B", "3", "--tol", "0"]) == 2
         assert run(["analyze", "--A", "2", "--B", "3", "--alpha", "0"]) == 2
+        # non-finite values are usage errors, never a crash or a PASS
+        assert run(["verify", "--A", "2", "--B", "3", "--L", "inf"]) == 2
+        assert run(["verify", "--A", "2", "--B", "3", "--tol", "inf"]) == 2
+        assert run(["verify", "--A", "2", "--B", "3", "--tol-match", "inf"]) == 2
+        assert run(["verify", "--A", "2", "--B", "3", "--tol-match", "nan"]) == 2
+        assert run(["analyze", "--A", "2", "--B", "3", "--C", "nan"]) == 2
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        # Python's json reads Infinity, NaN and an overflowing 1e400
+        for text in ('{"L": Infinity}', '{"c_min": NaN}', '{"C": 1e400}'):
+            cfg.write_text(text)
+            assert run(["bifurcation", *A23, "--config", str(cfg)]) == 2
+            assert "finite" in capsys.readouterr().err
 
     def test_bad_scan_bounds(self, capsys):
         assert run(["bifurcation", *A23, "--C-min", "1", "--C-max", "0"]) == 2
         assert run(["bifurcation", *A23, "--steps", "0"]) == 2
+        assert run(["bifurcation", *A23, "--C-min", "nan"]) == 2
+        assert run(["bifurcation", *A23, "--C-max", "inf"]) == 2
+        assert run(["bifurcation", *A23, "--verify-at", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
@@ -229,6 +279,65 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"N": 12.5}))
         assert run(["verify", "--A", "2", "--B", "3", "--config", str(cfg)]) == 2
+
+    def test_every_key_lands_in_run_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "command": "bifurcation",
+            "params": {"A": 2.5, "B": 3.25},
+            "C": 0.5,
+            "alpha": 1.5,
+            "branch": "minus",
+            "L": 30,
+            "N": 1200,
+            "tol": 1e-9,
+            "tol_match": 1e-6,
+            "auto_domain": False,
+            "out": "scan.csv",
+            "format": "json",
+            "c_min": -0.5,
+            "c_max": 2.0,
+            "steps": 7,
+            "verify_at": [0, 0.25],
+        }))
+        args = build_parser().parse_args(["bifurcation", "--config", str(cfg)])
+        assert assemble_config(args) == RunConfig(
+            command="bifurcation",
+            params=SusyParams(A=2.5, B=3.25, C=0.5, alpha=1.5),
+            branch=BranchSign.MINUS,
+            L=30.0,
+            N=1200,
+            tol=1e-9,
+            tol_match=1e-6,
+            auto_domain=False,
+            out="scan.csv",
+            format="json",
+            c_min=-0.5,
+            c_max=2.0,
+            steps=7,
+            verify_at=(0.0, 0.25),
+        )
+
+    def test_defaults_when_optional_keys_omitted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"A": 2.0, "B": 3.0}))
+        args = build_parser().parse_args(["bifurcation", "--config", str(cfg)])
+        assert assemble_config(args) == RunConfig(
+            command="bifurcation",
+            params=SusyParams(A=2.0, B=3.0, C=0.0, alpha=1.0),
+            branch=BranchSign.PLUS,
+            L=None,
+            N=None,
+            tol=DEFAULT_TOL,
+            tol_match=DEFAULT_TOL_MATCH,
+            auto_domain=True,
+            out=None,
+            format="json",
+            c_min=0.0,
+            c_max=1.0,
+            steps=11,
+            verify_at=(),
+        )
 
     def test_missing_file_rejected(self):
         assert run(["analyze", "--A", "2", "--B", "3", "--config", "/nope.json"]) == 2

@@ -89,11 +89,65 @@ def test_plus_minus_orbit_collapsed():
         )
 
 
-def test_cross_check_optional():
-    p = SusyParams(1.3, 2.1, 0.4, 0.8)
-    fast = solve_correspondence(p, PLUS, cross_check=False)
-    slow = solve_correspondence(p, PLUS, cross_check=True)
-    assert fast == slow
+def _newton_labels(p, branch):
+    """Reference route: damped Newton on the m-eliminated condition.
+
+    g(b) = b^2 + alpha^2/4 - st^2 / (4 b^2) - t2 vanishes exactly on the
+    matching b; eight starts in the complex b plane, each converged root
+    paired with its m from the strength condition.
+    """
+    target = pcs_partner_coefficients(p, branch)
+    t2, st, a = target.t2, target.st, p.alpha
+    scale = max(1.0, abs(t2), abs(st), a)
+
+    def g(b):
+        return b * b + 0.25 * a * a - st * st / (4.0 * b * b) - t2
+
+    found = []
+    for br in (1.0, 3.0):
+        for bi in (1.0, -1.0, 3.0, -3.0):
+            b = complex(br, bi)
+            for _ in range(100):
+                if abs(g(b)) <= 1e-12 * scale:
+                    found.append((solve_m_given_b(b, p, branch), b))
+                    break
+                dg = 2.0 * b + st * st / (2.0 * b * b * b)
+                if dg == 0:
+                    break
+                step = g(b) / dg
+                # halve the step until |g| does not grow
+                lam = 1.0
+                for _ in range(8):
+                    trial = b - lam * step
+                    if trial != 0 and abs(g(trial)) < abs(g(b)):
+                        break
+                    lam *= 0.5
+                b = b - lam * step
+                if b == 0:
+                    break
+    return found
+
+
+def test_newton_oracle_lands_on_closed_form_orbits():
+    # the quadratic in b^2 has at most two roots, so at most two orbits;
+    # every root the independent Newton search reaches must be one of them
+    rng = np.random.default_rng(34)
+    for _ in range(400):
+        p = SusyParams(
+            rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5),
+            rng.uniform(-1.5, 1.5), rng.uniform(0.5, 2.0),
+        )
+        for br in (PLUS, MINUS):
+            closed = solve_correspondence(p, br)
+            assert 1 <= len(closed) <= 2
+            newton = _newton_labels(p, br)
+            assert newton, f"no Newton start converged for {p} {br}"
+            for m, b in newton:
+                assert any(
+                    max(abs(m - s * cm), abs(b - s * cb)) < 1e-6
+                    for cm, cb in closed
+                    for s in (1, -1)
+                ), (p, br, m, b, closed)
 
 
 def test_solve_m_rejects_b_zero():
