@@ -8,7 +8,8 @@ CSV. All output is deterministic: fixed field order, shortest
 round-trip floats, LF line endings.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL,
-2 usage or config error, 3 numeric failure (the underlying error
+2 usage or config error, 3 numeric failure, including finite inputs
+whose derived values overflow or underflow (the underlying error
 message is printed to stderr verbatim).
 """
 
@@ -577,7 +578,7 @@ def run(argv=None) -> int:
         return 2
     try:
         data, rows, exit_code = _HANDLERS[cfg.command](cfg)
-    except PcsSpectraError as exc:
+    except (PcsSpectraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if cfg.format == "csv":

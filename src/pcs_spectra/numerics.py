@@ -7,8 +7,8 @@ Hermitian, so eigenpairs are found by shifted inverse iteration with
 unsymmetric tridiagonal LU (partial pivoting) rather than by anything
 that assumes a real spectrum. Eigenvalues of the second-order scheme
 carry a clean h^2 error term, which refine_eigenvalue removes by
-pairing N with 2N+1 interior points (h exactly halved) and Richardson
-extrapolation.
+pairing a state converged on N interior points with one solve on
+2N+1 (h exactly halved) and Richardson extrapolation.
 
 Nothing here trusts the closed-form towers. bound_spectrum takes a
 census of every eigenvalue of a small dense operator on the same box
@@ -16,7 +16,9 @@ census of every eigenvalue of a small dense operator on the same box
 seeds and each census value below the threshold by inverse iteration
 on the fine grid, and certifies every result by its own residual and
 its boundary leak, so states the formulas do not predict are found
-too.
+too. verify_spectrum discretizes each grid once: the box grid inside
+bound_spectrum, whose polished states are the coarse Richardson
+members, and the h/2 grid for the one refining solve per state.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ class Grid:
             raise ValueError(f"L must be positive and finite, got {self.L!r}")
         if self.N < 3:
             raise ValueError(f"N must be at least 3, got {self.N!r}")
+        h2 = self.h * self.h
+        if not (h2 > 0.0 and math.isfinite(2.0 / h2)):
+            raise ValueError(
+                f"grid spacing {self.h!r} is too small: 2/h^2 is not a finite float"
+            )
 
     @property
     def h(self) -> float:
@@ -159,14 +166,9 @@ def discretize(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
     real part and the continuum threshold is at zero.
     """
     h = grid.h
-    diag = (2.0 / (h * h) + _potential(v, grid.points())).astype(np.complex128)
+    potential = v.evaluate(grid.points(), include_offset=False)
+    diag = (2.0 / (h * h) + potential).astype(np.complex128)
     return DiscretizedOperator(diag=diag, offdiag=-1.0 / (h * h), grid=grid)
-
-
-def _potential(v: PotentialCoefficients, x: np.ndarray) -> np.ndarray:
-    ax = v.alpha * x
-    sech = 1.0 / np.cosh(ax)
-    return v.t2 * sech * sech + v.st * sech * np.tanh(ax)
 
 
 def _boundary_leak(v: np.ndarray) -> float:
@@ -247,28 +249,19 @@ def eigen_near(
 
 
 def refine_eigenvalue(
-    v: PotentialCoefficients,
-    grid: Grid,
-    shift: complex,
+    coarse: EigenResult,
+    fine_op: DiscretizedOperator,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 60,
 ) -> EigenResult:
     """Richardson-extrapolated eigenvalue from the (h, h/2) grid pair.
 
-    Solves near the shift on the given grid and again on the refined
-    grid, then removes the h^2 term with (4 E_fine - E_coarse) / 3. The
-    per-grid residual tolerance is floored at the matvec rounding level,
-    which scales like eps / h^2 and exceeds tight tolerances on fine
-    grids.
+    coarse is a state converged on some grid, and fine_op must be the
+    operator on that grid's refined() grid. One solve on fine_op from
+    coarse.energy gives E_fine, and (4 E_fine - E_coarse) / 3 removes
+    the h^2 term. The residual tolerance is floored at fine_op's
+    rounding level, which scales like eps / h^2.
     """
-    coarse_op = discretize(v, grid)
-    coarse = eigen_near(
-        coarse_op, shift, max(tol, coarse_op.residual_floor()), max_iter
-    )
-    fine_op = discretize(v, grid.refined())
-    fine = eigen_near(
-        fine_op, coarse.energy, max(tol, fine_op.residual_floor()), max_iter
-    )
+    fine = eigen_near(fine_op, coarse.energy, max(tol, fine_op.residual_floor()))
     energy = (4.0 * fine.energy - coarse.energy) / 3.0
     return EigenResult(
         energy=energy,
@@ -301,7 +294,7 @@ def _census(v: PotentialCoefficients, grid: Grid) -> list[complex]:
     width = lo + hi
     j = np.arange(n)
     mat = np.zeros((n, n), dtype=np.complex128)
-    mat[j, j] = 2.0 / (lo * hi) + _potential(v, x[1:-1])
+    mat[j, j] = 2.0 / (lo * hi) + v.evaluate(x[1:-1], include_offset=False)
     mat[j[1:], j[:-1]] = -2.0 / (lo[1:] * width[1:])
     mat[j[:-1], j[1:]] = -2.0 / (hi[:-1] * width[:-1])
     values = eigvals(mat, overwrite_a=True, check_finite=False)
@@ -316,7 +309,6 @@ def bound_spectrum(
     seeds=(),
     re_limit: float = 0.0,
     max_leak: float = DEFAULT_MAX_LEAK,
-    max_iter: int = 60,
 ) -> list[EigenResult]:
     """All certified eigenvalues with Re(E) below the threshold.
 
@@ -324,12 +316,13 @@ def bound_spectrum(
     census: every eigenvalue of a small dense operator on the same box
     with real part below re_limit, less those above zero real part that
     decay too slowly across the box to pass the leak gate. Each shift is
-    polished by inverse iteration on the given grid, so the census
-    guards against states the seeds do not predict. Runs converging to
-    Re(E) >= re_limit are discarded; re_limit = 0 is the continuum
-    threshold of the e0-subtracted operator, and callers may raise it to
-    chase normalizable states whose energy has crept past zero real part
-    in the broken phase. Eigenvalues closer than 1e-6 are considered the
+    polished by inverse iteration on the given grid, to tol floored at
+    the operator's rounding level, so the census guards against states
+    the seeds do not predict. Runs converging to Re(E) >= re_limit are
+    discarded; re_limit = 0 is the continuum threshold of the
+    e0-subtracted operator, and callers may raise it to chase
+    normalizable states whose energy has crept past zero real part in
+    the broken phase. Eigenvalues closer than 1e-6 are considered the
     same state.
 
     Raises:
@@ -340,6 +333,9 @@ def bound_spectrum(
             continuum and are dropped instead.
     """
     op = discretize(v, grid)
+    # no solve gets below the rounding floor, which exceeds tight
+    # tolerances on fine grids
+    tol = max(tol, op.residual_floor())
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
     shifts = [complex(s) for s in seeds]
     shifts += [
@@ -351,7 +347,7 @@ def bound_spectrum(
     accepted: list[EigenResult] = []
     for shift in shifts:
         try:
-            res = eigen_near(op, shift, tol, max_iter)
+            res = eigen_near(op, shift, tol)
         except (NoConvergence, SingularShift) as exc:
             log.debug("shift %s: %s", shift, exc)
             continue
@@ -504,18 +500,18 @@ def verify_spectrum(
     branch: BranchSign = BranchSign.PLUS,
     tol: float = DEFAULT_TOL,
     auto_domain: bool = True,
-    match_radius: float | None = None,
-    max_leak: float = DEFAULT_MAX_LEAK,
 ) -> VerificationReport:
     """Certify the analytic towers against the numerical solver.
 
     The analytic prediction fixes the seeds and the box size: the grid
     argument sets the base resolution, and with auto_domain the
     half-width grows (same spacing) until the slowest-decaying
-    predicted state fits with boundary leak under max_leak. Every
-    numeric eigenvalue is Richardson refined before matching, since the
-    raw h^2 discretization error at the default spacing is above
-    tol_match. Matching is greedy nearest-pair with capacity equal to
+    predicted state fits with boundary leak under DEFAULT_MAX_LEAK.
+    Every numeric eigenvalue is Richardson refined before matching,
+    since the raw h^2 discretization error at the default spacing is
+    above tol_match: the state bound_spectrum polished on the box grid
+    is the coarse member, and the h/2 grid is discretized once for all
+    states. Matching is greedy nearest-pair with capacity equal to
     the predicted multiplicity: a doubly-predicted (defective) level
     absorbs the conjugate pair the discretization splits it into, and
     is reported once, at the cluster mean, where the splitting cancels
@@ -544,11 +540,11 @@ def verify_spectrum(
         tol,
         seeds=[lv.energy for lv in levels],
         re_limit=re_limit,
-        max_leak=max_leak,
     )
-    refined = [refine_eigenvalue(v, geff, r.energy, tol) for r in raw]
+    fine_op = discretize(v, geff.refined())
+    refined = [refine_eigenvalue(r, fine_op, tol) for r in raw]
 
-    radius = match_radius if match_radius is not None else max(1e-3, 10.0 * tol_match)
+    radius = max(1e-3, 10.0 * tol_match)
     assigned, left, right = _greedy_match(levels, refined, radius)
     matches = []
     for i, js in enumerate(assigned):

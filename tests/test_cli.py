@@ -113,6 +113,27 @@ class TestSl2:
         assert "degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # h^2 underflows, so the operator's 2/h^2 cannot be formed
+        ["verify", "--A", "2", "--B", "3", "--L", "1e-300"],
+        # finite inputs whose derived coefficients overflow
+        ["spectrum", "--A", "1e300", "--B", "3"],
+        ["sl2", "--A", "1e200", "--B", "1e200"],
+        ["analyze", "--A", "1e200", "--B", "3"],
+    ],
+    ids=["tiny-box", "spectrum-overflow", "sl2-overflow", "analyze-overflow"],
+)
+def test_unrepresentable_numbers_exit_three(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 class TestExchange:
     def test_report(self, capsys):
         code, d = run_json(capsys, ["exchange", "--A", "2", "--B", "3.2"])

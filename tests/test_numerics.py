@@ -94,7 +94,7 @@ class TestRefine:
     def test_refinement_beats_raw_error(self):
         g = Grid(L=12.0, N=2000)
         raw = eigen_near(discretize(POSCHL_TELLER_3, g), -1.0)
-        ref = refine_eigenvalue(POSCHL_TELLER_3, g, -1.0)
+        ref = refine_eigenvalue(raw, discretize(POSCHL_TELLER_3, g.refined()))
         raw_err = abs(raw.energy.real + 1.0)
         ref_err = abs(ref.energy.real + 1.0)
         assert ref_err < raw_err / 50
@@ -109,6 +109,13 @@ class TestBoundSpectrum:
                 POSCHL_TELLER_3, Grid(L=22.0, N=2750), 0.0,
                 [(-9, 1), (-4, 1), (-1, 1)],
                 id="poschl-teller",
+            ),
+            pytest.param(
+                # spacing so small that the rounding floor of the
+                # residual is above the default tolerance
+                POSCHL_TELLER_3, Grid(L=22.0, N=30000), 0.0,
+                [(-9, 1), (-4, 1), (-1, 1)],
+                id="fine-grid",
             ),
             pytest.param(
                 # broken phase: the top level sits above Re E = 0
@@ -185,18 +192,40 @@ class TestVerifySpectrum:
 
 def test_verify_solve_count_is_bounded(monkeypatch):
     # the census hands the fine grid one shift per level, so a broken
-    # well with five levels needs a few dozen solves, not hundreds
-    calls = []
-    solve = numerics.eigen_near
+    # well with five levels needs a few dozen solves, not hundreds; each
+    # grid is discretized once, each shift polished once on the box
+    # grid, and each returned state solved once more on the h/2 grid
+    grids, solves, returned = [], [], []
+    originals = {
+        name: getattr(numerics, name)
+        for name in ("discretize", "eigen_near", "bound_spectrum")
+    }
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve(*args, **kwargs)
+    def discretize_counting(v, grid):
+        grids.append(grid)
+        return originals["discretize"](v, grid)
 
-    monkeypatch.setattr(numerics, "eigen_near", counting)
+    def eigen_counting(op, shift, *args, **kwargs):
+        solves.append((op.grid, shift))
+        return originals["eigen_near"](op, shift, *args, **kwargs)
+
+    def bound_counting(*args, **kwargs):
+        states = originals["bound_spectrum"](*args, **kwargs)
+        returned.extend(states)
+        return states
+
+    monkeypatch.setattr(numerics, "discretize", discretize_counting)
+    monkeypatch.setattr(numerics, "eigen_near", eigen_counting)
+    monkeypatch.setattr(numerics, "bound_spectrum", bound_counting)
     rep = verify_spectrum(SusyParams(2, 3, 1, 1))
     assert rep.passed
-    assert len(calls) <= 50
+    assert grids == [rep.grid, rep.grid.refined()]
+    box = [shift for grid, shift in solves if grid == rep.grid]
+    fine = [shift for grid, shift in solves if grid == rep.grid.refined()]
+    assert len(box) + len(fine) == len(solves)
+    assert len(set(box)) == len(box)
+    assert fine == [r.energy for r in returned]
+    assert len(solves) <= 50
 
 
 def test_default_grid_scales_with_range():
