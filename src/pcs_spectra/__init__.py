@@ -11,126 +11,20 @@ claim is checked by an independent route. The cli module exposes both
 halves as the `pcs-spectra` command.
 """
 
-from .core import (
-    TOL_CONSTRAINT,
-    BranchSign,
-    ComplexSusyParams,
-    PcsPhysicalParams,
-    PotentialCoefficients,
-    PtConstraintReport,
-    Superpotential,
-    SusyParams,
-    complexify,
-    dual_superpotentials,
-    exchange_map,
-    partner_potentials,
-    pcs_partner_coefficients,
-    physical_to_susy,
-    pt_constraint_check,
-    susy_to_physical,
-)
-from .errors import (
-    DegenerateB,
-    DomainTooSmall,
-    LadderExhausted,
-    NoConvergence,
-    NoRealFactorization,
-    PcsSpectraError,
-    SingularShift,
-)
-from .numerics import (
-    DEFAULT_TOL,
-    DEFAULT_TOL_MATCH,
-    AnalyticLevel,
-    DiscretizedOperator,
-    EigenResult,
-    Grid,
-    MatchedLevel,
-    VerificationReport,
-    bound_spectrum,
-    default_grid,
-    discretize,
-    eigen_near,
-    refine_eigenvalue,
-    verify_spectrum,
-)
-from .sl2 import (
-    Sl2Params,
-    build_sl2_potential,
-    correspondence_residuals,
-    m_square_identities,
-    solve_correspondence,
-    solve_m_given_b,
-)
-from .spectra import (
-    BifurcationPoint,
-    BrokenSpectrum,
-    SpectrumSeries,
-    bifurcation_scan,
-    broken_spectrum,
-    energy_sort_key,
-    shape_invariance_step,
-    two_series_spectrum,
-)
+from . import core, errors, numerics, sl2, spectra
+from .core import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .sl2 import *  # noqa: F403
+from .spectra import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core
-    "TOL_CONSTRAINT",
-    "PcsPhysicalParams",
-    "SusyParams",
-    "BranchSign",
-    "ComplexSusyParams",
-    "Superpotential",
-    "PotentialCoefficients",
-    "PtConstraintReport",
-    "complexify",
-    "partner_potentials",
-    "pcs_partner_coefficients",
-    "pt_constraint_check",
-    "exchange_map",
-    "dual_superpotentials",
-    "physical_to_susy",
-    "susy_to_physical",
-    # spectra
-    "SpectrumSeries",
-    "BifurcationPoint",
-    "BrokenSpectrum",
-    "energy_sort_key",
-    "shape_invariance_step",
-    "two_series_spectrum",
-    "broken_spectrum",
-    "bifurcation_scan",
-    # numerics
-    "DEFAULT_TOL",
-    "DEFAULT_TOL_MATCH",
-    "Grid",
-    "DiscretizedOperator",
-    "EigenResult",
-    "AnalyticLevel",
-    "MatchedLevel",
-    "VerificationReport",
-    "default_grid",
-    "discretize",
-    "eigen_near",
-    "refine_eigenvalue",
-    "bound_spectrum",
-    "verify_spectrum",
-    # sl2
-    "Sl2Params",
-    "build_sl2_potential",
-    "correspondence_residuals",
-    "solve_m_given_b",
-    "m_square_identities",
-    "solve_correspondence",
-    # errors
-    "PcsSpectraError",
-    "NoRealFactorization",
-    "LadderExhausted",
-    "NoConvergence",
-    "SingularShift",
-    "DomainTooSmall",
-    "DegenerateB",
+    *core.__all__,
+    *spectra.__all__,
+    *numerics.__all__,
+    *sl2.__all__,
+    *errors.__all__,
 ]

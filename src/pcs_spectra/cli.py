@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -37,14 +38,7 @@ from .core import (
     susy_to_physical,
 )
 from .errors import PcsSpectraError
-from .numerics import (
-    DEFAULT_HALF_WIDTH,
-    DEFAULT_POINTS,
-    DEFAULT_TOL,
-    DEFAULT_TOL_MATCH,
-    Grid,
-    verify_spectrum,
-)
+from .numerics import DEFAULT_TOL_MATCH, Grid, default_grid, verify_spectrum
 from .sl2 import Sl2Params, correspondence_residuals, m_square_identities, solve_correspondence
 from .spectra import bifurcation_scan, energy_sort_key, two_series_spectrum
 
@@ -76,7 +70,6 @@ class RunConfig:
     branch: BranchSign = BranchSign.PLUS
     L: float | None = None
     N: int | None = None
-    tol: float = DEFAULT_TOL
     tol_match: float = DEFAULT_TOL_MATCH
     auto_domain: bool = True
     out: str | None = None
@@ -94,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         "with independent numerical verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a removed flag must fail rather than silently
+    # become a longer one (--tol would be read as --tol-match)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--A", type=float, default=None, help="tanh strength parameter")
@@ -110,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     def gridded(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--L", type=float, default=None, help="half-width of the box")
         sp.add_argument("--N", type=int, default=None, help="interior grid points")
-        sp.add_argument("--tol", type=float, default=None, help="eigensolver residual tolerance")
         sp.add_argument(
             "--tol-match", type=float, default=None, help="analytic/numeric match tolerance"
         )
@@ -120,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="never enlarge the box beyond L (slow-decaying states then fail loudly)",
         )
 
-    common(sub.add_parser("analyze", help="PT constraint, coefficients, dual factorizations"))
-    common(sub.add_parser("spectrum", help="analytic level towers of one branch"))
-    sp_verify = sub.add_parser("verify", help="match analytic towers against the eigensolver")
+    common(add("analyze", help="PT constraint, coefficients, dual factorizations"))
+    common(add("spectrum", help="analytic level towers of one branch"))
+    sp_verify = add("verify", help="match analytic towers against the eigensolver")
     common(sp_verify)
     gridded(sp_verify)
-    common(sub.add_parser("sl2", help="algebraic (m, b) labels realizing the well"))
-    sp_bif = sub.add_parser("bifurcation", help="sweep C and track both branches")
+    common(add("sl2", help="algebraic (m, b) labels realizing the well"))
+    sp_bif = add("bifurcation", help="sweep C and track both branches")
     common(sp_bif)
     gridded(sp_bif)
     sp_bif.add_argument("--C-min", dest="c_min", type=float, default=None)
@@ -141,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="C",
         help="also run the numeric verifier at this C (repeatable)",
     )
-    common(sub.add_parser("exchange", help="parameter-exchange image and invariance check"))
+    common(add("exchange", help="parameter-exchange image and invariance check"))
     return parser
 
 
@@ -262,7 +257,6 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--A and --B are required (flags or config)")
     _number("alpha", merged["alpha"], positive=True)
     _number("L", merged["L"], positive=True)
-    _number("tol", merged["tol"], positive=True)
     _number("tol-match", merged["tol_match"], positive=True)
     _number("C-min", merged["c_min"])
     _number("C-max", merged["c_max"])
@@ -294,14 +288,6 @@ def _c(z: complex) -> dict:
 
 def _params_dict(p: SusyParams) -> dict:
     return {"A": p.A, "B": p.B, "C": p.C, "alpha": p.alpha}
-
-
-def _base_grid(cfg: RunConfig) -> Grid | None:
-    if cfg.L is None and cfg.N is None:
-        return None
-    lhalf = cfg.L if cfg.L is not None else DEFAULT_HALF_WIDTH / cfg.params.alpha
-    n = cfg.N if cfg.N is not None else DEFAULT_POINTS
-    return Grid(L=lhalf, N=n)
 
 
 def _head(cfg: RunConfig) -> dict:
@@ -413,15 +399,15 @@ def _verify_rows(report, c_value: float, branch: BranchSign) -> list:
     return rows
 
 
+def _verify(cfg: RunConfig, p: SusyParams, branch: BranchSign):
+    # --L and --N are positive when set, so `or` falls back only on None
+    base = default_grid(p.alpha)
+    grid = Grid(L=cfg.L or base.L, N=cfg.N or base.N)
+    return verify_spectrum(p, grid, cfg.tol_match, branch=branch, auto_domain=cfg.auto_domain)
+
+
 def _cmd_verify(cfg: RunConfig):
-    report = verify_spectrum(
-        cfg.params,
-        _base_grid(cfg),
-        cfg.tol_match,
-        branch=cfg.branch,
-        tol=cfg.tol,
-        auto_domain=cfg.auto_domain,
-    )
+    report = _verify(cfg, cfg.params, cfg.branch)
     data = _head(cfg)
     data.update(_verify_payload(report))
     rows = _verify_rows(report, cfg.params.C, cfg.branch)
@@ -491,14 +477,7 @@ def _cmd_bifurcation(cfg: RunConfig):
             pc = dataclasses.replace(p0, C=c_value)
             branch_reports = {}
             for branch in (BranchSign.PLUS, BranchSign.MINUS):
-                rep = verify_spectrum(
-                    pc,
-                    _base_grid(cfg),
-                    cfg.tol_match,
-                    branch=branch,
-                    tol=cfg.tol,
-                    auto_domain=cfg.auto_domain,
-                )
+                rep = _verify(cfg, pc, branch)
                 branch_reports[branch] = rep
                 rows += _verify_rows(rep, c_value, branch)
                 if not rep.passed:

@@ -1,5 +1,15 @@
 """Exceptions shared across the package."""
 
+__all__ = [
+    "PcsSpectraError",
+    "NoRealFactorization",
+    "LadderExhausted",
+    "NoConvergence",
+    "SingularShift",
+    "DomainTooSmall",
+    "DegenerateB",
+]
+
 
 class PcsSpectraError(Exception):
     """Base class for all errors raised by this package."""

@@ -90,6 +90,10 @@ class Grid:
         if self.N < 3:
             raise ValueError(f"N must be at least 3, got {self.N!r}")
         h2 = self.h * self.h
+        if not math.isfinite(h2):
+            raise ValueError(
+                f"grid spacing {self.h!r} is too large: h^2 is not a finite float"
+            )
         if not (h2 > 0.0 and math.isfinite(2.0 / h2)):
             raise ValueError(
                 f"grid spacing {self.h!r} is too small: 2/h^2 is not a finite float"
@@ -131,14 +135,18 @@ class DiscretizedOperator:
         w[:-1] += self.offdiag * v[1:]
         return w
 
-    def residual_floor(self) -> float:
-        """Rounding-level floor of ||Hv - theta v|| for a unit vector.
+    def certified_tol(self) -> float:
+        """Residual tolerance of every certified solve on this operator.
 
-        The matvec works with entries of size 2/h^2, so the residual of
-        even an exact eigenpair cannot drop below about eps * ||H||.
+        DEFAULT_TOL, floored at the rounding level of ||Hv - theta v||
+        for a unit vector: the matvec works with entries of size 2/h^2,
+        so the residual of even an exact eigenpair cannot drop below
+        about eps * ||H||. The floor is above DEFAULT_TOL on every
+        default grid.
         """
         eps = float(np.finfo(np.float64).eps)
-        return 8.0 * eps * (2.0 * abs(self.offdiag) + float(np.abs(self.diag).max()))
+        floor = 8.0 * eps * (2.0 * abs(self.offdiag) + float(np.abs(self.diag).max()))
+        return max(DEFAULT_TOL, floor)
 
 
 @dataclass(frozen=True)
@@ -248,20 +256,15 @@ def eigen_near(
     raise NoConvergence(shift, max_iter, residual)
 
 
-def refine_eigenvalue(
-    coarse: EigenResult,
-    fine_op: DiscretizedOperator,
-    tol: float = DEFAULT_TOL,
-) -> EigenResult:
+def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> EigenResult:
     """Richardson-extrapolated eigenvalue from the (h, h/2) grid pair.
 
     coarse is a state converged on some grid, and fine_op must be the
     operator on that grid's refined() grid. One solve on fine_op from
     coarse.energy gives E_fine, and (4 E_fine - E_coarse) / 3 removes
-    the h^2 term. The residual tolerance is floored at fine_op's
-    rounding level, which scales like eps / h^2.
+    the h^2 term. The solve runs to fine_op.certified_tol().
     """
-    fine = eigen_near(fine_op, coarse.energy, max(tol, fine_op.residual_floor()))
+    fine = eigen_near(fine_op, coarse.energy, fine_op.certified_tol())
     energy = (4.0 * fine.energy - coarse.energy) / 3.0
     return EigenResult(
         energy=energy,
@@ -304,7 +307,6 @@ def _census(v: PotentialCoefficients, grid: Grid) -> list[complex]:
 def bound_spectrum(
     v: PotentialCoefficients,
     grid: Grid,
-    tol: float = DEFAULT_TOL,
     *,
     seeds=(),
     re_limit: float = 0.0,
@@ -316,9 +318,12 @@ def bound_spectrum(
     census: every eigenvalue of a small dense operator on the same box
     with real part below re_limit, less those above zero real part that
     decay too slowly across the box to pass the leak gate. Each shift is
-    polished by inverse iteration on the given grid, to tol floored at
-    the operator's rounding level, so the census guards against states
-    the seeds do not predict. Runs converging to Re(E) >= re_limit are
+    polished by inverse iteration on the given grid, to the operator's
+    certified_tol(), so the census guards against states the seeds do
+    not predict. The census resolves levels only to a few hundredths:
+    two levels closer than that can merge into one value that polishes
+    to just one of them, which is why verify_spectrum passes the
+    analytic levels as seeds. Runs converging to Re(E) >= re_limit are
     discarded; re_limit = 0 is the continuum threshold of the
     e0-subtracted operator, and callers may raise it to chase
     normalizable states whose energy has crept past zero real part in
@@ -333,9 +338,7 @@ def bound_spectrum(
             continuum and are dropped instead.
     """
     op = discretize(v, grid)
-    # no solve gets below the rounding floor, which exceeds tight
-    # tolerances on fine grids
-    tol = max(tol, op.residual_floor())
+    tol = op.certified_tol()
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
     shifts = [complex(s) for s in seeds]
     shifts += [
@@ -498,7 +501,6 @@ def verify_spectrum(
     tol_match: float = DEFAULT_TOL_MATCH,
     *,
     branch: BranchSign = BranchSign.PLUS,
-    tol: float = DEFAULT_TOL,
     auto_domain: bool = True,
 ) -> VerificationReport:
     """Certify the analytic towers against the numerical solver.
@@ -534,15 +536,9 @@ def verify_spectrum(
         geff = base
         re_limit = 0.0
 
-    raw = bound_spectrum(
-        v,
-        geff,
-        tol,
-        seeds=[lv.energy for lv in levels],
-        re_limit=re_limit,
-    )
+    raw = bound_spectrum(v, geff, seeds=[lv.energy for lv in levels], re_limit=re_limit)
     fine_op = discretize(v, geff.refined())
-    refined = [refine_eigenvalue(r, fine_op, tol) for r in raw]
+    refined = [refine_eigenvalue(r, fine_op) for r in raw]
 
     radius = max(1e-3, 10.0 * tol_match)
     assigned, left, right = _greedy_match(levels, refined, radius)

@@ -171,12 +171,13 @@ def _closed_form_pairs(p: SusyParams, branch: BranchSign) -> list[tuple[complex,
         b = cmath.sqrt(y)
         if b == 0:
             continue
+        # one member per +/- orbit: the residual is even and the Newton
+        # step odd under (m, b) -> (-m, -b), exactly in floats, so the
+        # other member is this one negated to the bit
         m = -st / (2.0 * a * b)
-        for mm, bb in ((m, b), (-m, -b)):
-            res = _pair_residual(mm, bb, t2, st, a)
-            if res > 1e-12:
-                mm, bb, res = _polish(mm, bb, t2, st, a)
-            pairs.append((mm, bb))
+        if _pair_residual(m, b, t2, st, a) > 1e-12:
+            m, b, _ = _polish(m, b, t2, st, a)
+        pairs.append((m, b))
     if not pairs:
         raise DegenerateB(
             "every matching root has b = 0; the correspondence degenerates here"
@@ -205,9 +206,10 @@ def _polish(m, b, t2, st, alpha, steps: int = 2):
 
 
 def _canonical(pairs):
-    # one representative per +/- orbit: principal-branch b first; clamp
-    # rounding dust before picking the sign so all but the true sign of
-    # b decides, not a 1e-17 real part on a purely imaginary root
+    # each orbit's representative has principal-branch b; clamp rounding
+    # dust before picking the sign so all but the true sign of b
+    # decides, not a 1e-17 real part on a purely imaginary root. Orbits
+    # of two b^2 roots closer than 1e-8 are listed once.
     seen: list[tuple[complex, complex]] = []
     for m, b in pairs:
         scale = abs(b)

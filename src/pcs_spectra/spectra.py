@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import (
-    BranchSign,
-    ComplexSusyParams,
-    SusyParams,
-    Superpotential,
-    complexify,
-    dual_superpotentials,
-)
+from .core import BranchSign, SusyParams, Superpotential, dual_superpotentials
 from .errors import LadderExhausted
 
 __all__ = [
@@ -167,9 +160,10 @@ def broken_spectrum(p: SusyParams) -> BrokenSpectrum:
     """
     if p.C == 0.0:
         raise ValueError("broken_spectrum requires C != 0; use two_series_spectrum")
-    plus = two_series_spectrum(complexify(p, BranchSign.PLUS), BranchSign.PLUS)
-    minus = two_series_spectrum(complexify(p, BranchSign.MINUS), BranchSign.MINUS)
-    return BrokenSpectrum(plus=plus, minus=minus)
+    return BrokenSpectrum(
+        plus=two_series_spectrum(p, BranchSign.PLUS),
+        minus=two_series_spectrum(p, BranchSign.MINUS),
+    )
 
 
 def _branch_energies(towers) -> tuple[complex, ...]:

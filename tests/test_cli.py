@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pcs_spectra.spectra
-from pcs_spectra import DEFAULT_TOL, DEFAULT_TOL_MATCH, BranchSign, SusyParams
+from pcs_spectra import DEFAULT_TOL_MATCH, BranchSign, SusyParams
 from pcs_spectra.cli import RunConfig, assemble_config, build_parser, run
 
 A23 = ["--A", "2", "--B", "3", "--alpha", "1"]
@@ -118,12 +118,18 @@ class TestSl2:
     [
         # h^2 underflows, so the operator's 2/h^2 cannot be formed
         ["verify", "--A", "2", "--B", "3", "--L", "1e-300"],
+        # h, or h^2, overflows, so the operator's 2/h^2 would be zero
+        ["verify", "--A", "2", "--B", "3", "--L", "1e308"],
+        ["verify", "--A", "2", "--B", "3", "--L", "1e160"],
         # finite inputs whose derived coefficients overflow
         ["spectrum", "--A", "1e300", "--B", "3"],
         ["sl2", "--A", "1e200", "--B", "1e200"],
         ["analyze", "--A", "1e200", "--B", "3"],
     ],
-    ids=["tiny-box", "spectrum-overflow", "sl2-overflow", "analyze-overflow"],
+    ids=[
+        "tiny-box", "huge-box", "huge-box-h2",
+        "spectrum-overflow", "sl2-overflow", "analyze-overflow",
+    ],
 )
 def test_unrepresentable_numbers_exit_three(capsys, argv):
     code = run(argv)
@@ -239,16 +245,18 @@ class TestUsageErrors:
     def test_bad_numeric_overrides(self, capsys, tmp_path):
         assert run(["verify", "--A", "2", "--B", "3", "--N", "2"]) == 2
         assert run(["verify", "--A", "2", "--B", "3", "--L", "-4"]) == 2
-        assert run(["verify", "--A", "2", "--B", "3", "--tol", "0"]) == 2
         assert run(["analyze", "--A", "2", "--B", "3", "--alpha", "0"]) == 2
         # non-finite values are usage errors, never a crash or a PASS
         assert run(["verify", "--A", "2", "--B", "3", "--L", "inf"]) == 2
-        assert run(["verify", "--A", "2", "--B", "3", "--tol", "inf"]) == 2
         assert run(["verify", "--A", "2", "--B", "3", "--tol-match", "inf"]) == 2
         assert run(["verify", "--A", "2", "--B", "3", "--tol-match", "nan"]) == 2
         assert run(["analyze", "--A", "2", "--B", "3", "--C", "nan"]) == 2
-        capsys.readouterr()
+        # the residual tolerance is fixed, so neither flag nor key sets it
+        assert run(["verify", "--A", "2", "--B", "3", "--tol", "1e-9"]) == 2
         cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": 1e-9}')
+        assert run(["verify", "--A", "2", "--B", "3", "--config", str(cfg)]) == 2
+        assert "unknown config field 'tol'" in capsys.readouterr().err
         # Python's json reads Infinity, NaN and an overflowing 1e400
         for text in ('{"L": Infinity}', '{"c_min": NaN}', '{"C": 1e400}'):
             cfg.write_text(text)
@@ -311,7 +319,6 @@ class TestConfig:
             "branch": "minus",
             "L": 30,
             "N": 1200,
-            "tol": 1e-9,
             "tol_match": 1e-6,
             "auto_domain": False,
             "out": "scan.csv",
@@ -328,7 +335,6 @@ class TestConfig:
             branch=BranchSign.MINUS,
             L=30.0,
             N=1200,
-            tol=1e-9,
             tol_match=1e-6,
             auto_domain=False,
             out="scan.csv",
@@ -349,7 +355,6 @@ class TestConfig:
             branch=BranchSign.PLUS,
             L=None,
             N=None,
-            tol=DEFAULT_TOL,
             tol_match=DEFAULT_TOL_MATCH,
             auto_domain=True,
             out=None,
