@@ -38,7 +38,7 @@ from .core import (
     susy_to_physical,
 )
 from .errors import PcsSpectraError
-from .numerics import DEFAULT_TOL_MATCH, Grid, default_grid, verify_spectrum
+from .numerics import DEFAULT_TOL_MATCH, MAX_TOL_MATCH, Grid, default_grid, verify_spectrum
 from .sl2 import Sl2Params, correspondence_residuals, m_square_identities, solve_correspondence
 from .spectra import bifurcation_scan, energy_sort_key, two_series_spectrum
 
@@ -107,7 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--L", type=float, default=None, help="half-width of the box")
         sp.add_argument("--N", type=int, default=None, help="interior grid points")
         sp.add_argument(
-            "--tol-match", type=float, default=None, help="analytic/numeric match tolerance"
+            "--tol-match",
+            type=float,
+            default=None,
+            help=f"analytic/numeric match tolerance, at most {MAX_TOL_MATCH:g}",
         )
         sp.add_argument(
             "--no-auto-domain",
@@ -258,6 +261,8 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
     _number("alpha", merged["alpha"], positive=True)
     _number("L", merged["L"], positive=True)
     _number("tol-match", merged["tol_match"], positive=True)
+    if merged["tol_match"] > MAX_TOL_MATCH:
+        raise UsageError(f"--tol-match must be at most {MAX_TOL_MATCH}, got {merged['tol_match']}")
     _number("C-min", merged["c_min"])
     _number("C-max", merged["c_max"])
     for c_value in merged["verify_at"]:

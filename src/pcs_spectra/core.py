@@ -196,7 +196,10 @@ class PotentialCoefficients:
     def evaluate(self, x, include_offset: bool = True):
         """Potential values at the given points (scalar or array)."""
         ax = self.alpha * np.asarray(x, dtype=float)
-        sech = 1.0 / np.cosh(ax)
+        # cosh overflows to inf past |alpha x| ~ 710, where sech is
+        # rightly 0.0: nothing to warn about
+        with np.errstate(over="ignore"):
+            sech = 1.0 / np.cosh(ax)
         out = self.t2 * sech * sech + self.st * sech * np.tanh(ax)
         if include_offset:
             out = out + self.e0

@@ -1,22 +1,27 @@
 """Independent numerical oracle for the analytic level towers.
 
 The Schrodinger operator -d^2/dx^2 + V(x) - e0 (hbar = 2m = 1) is
-discretized with second-order central differences on [-L, L] with
-Dirichlet walls. The matrix is complex symmetric tridiagonal, not
-Hermitian, so eigenpairs are found by shifted inverse iteration with
-unsymmetric tridiagonal LU (partial pivoting) rather than by anything
-that assumes a real spectrum. Eigenvalues of the second-order scheme
-carry a clean h^2 error term, which refine_eigenvalue removes by
-pairing a state converged on N interior points with one solve on
-2N+1 (h exactly halved) and Richardson extrapolation.
+discretized on [-L, L] with Dirichlet walls, on nodes x = a sinh(xi/a)
+with xi uniform and a = 4/alpha: nearly uniform over the well and
+spread out geometrically along the tails, so the point count needed for
+a box grows like log L rather than L (Boyd, Chebyshev and Fourier
+Spectral Methods, 2001, ch. 17). The three-point non-uniform Laplacian
+is scaled by the square roots of the node weights, so the matrix is
+complex symmetric tridiagonal, not Hermitian, and eigenpairs are found
+by shifted inverse iteration with unsymmetric tridiagonal LU (partial
+pivoting) rather than by anything that assumes a real spectrum. The
+mapping is smooth, so eigenvalues carry a clean error term in the xi
+step squared, which refine_eigenvalue removes by pairing a state
+converged on N interior points with one solve on 2N+1 (xi step exactly
+halved) and Richardson extrapolation.
 
 Nothing here trusts the closed-form towers. bound_spectrum takes a
-census of every eigenvalue of a small dense operator on the same box
-(a stretched grid whose point count grows like log L), polishes the
-seeds and each census value below the threshold by inverse iteration
-on the fine grid, and certifies every result by its own residual and
-its boundary leak, so states the formulas do not predict are found
-too. verify_spectrum discretizes each grid once: the box grid inside
+census of every eigenvalue of a small dense operator from the same
+builder on the same box at a coarse xi step, polishes the seeds and
+each census value below the threshold by inverse iteration on the fine
+grid, and certifies every result by its own residual and its boundary
+leak, so states the formulas do not predict are found too.
+verify_spectrum discretizes each grid once: the box grid inside
 bound_spectrum, whose polished states are the coarse Richardson
 members, and the h/2 grid for the one refining solve per state.
 """
@@ -57,12 +62,19 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_TOL_MATCH = 1e-6
+# matching looks within max(1e-3, 10 tol_match) of each level, so a
+# larger tol_match would let one level capture states of its neighbours
+MAX_TOL_MATCH = 1e-3
 DEFAULT_POINTS = 4000
 # half-width in units of 1/alpha; sech^2(12) ~ 7e-11, below DEFAULT_TOL
 DEFAULT_HALF_WIDTH = 12.0
 # accepted bound states must have at most this much relative amplitude
-# on the outer five percent of the box
+# on the outer five percent of the box, |x| >= 0.95 L
 DEFAULT_MAX_LEAK = 1e-8
+_EDGE_FRACTION = 0.95
+# grid nodes are x = a sinh(xi / a) with a = _STRETCH / alpha: nearly
+# uniform while sech^2(alpha x) is still above ~1e-3 of its depth
+_STRETCH = 4.0
 # enlarge the box until kappa * 0.95 L >= 21 * 0.95, i.e. predicted
 # edge amplitude ~ 2e-9, safely under DEFAULT_MAX_LEAK
 _LEAK_HALF_WIDTH_FACTOR = 21.0
@@ -79,7 +91,14 @@ _CENSUS_MIN_DECAY_FOLDS = 10.0
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform Dirichlet grid: N interior points on (-L, L), h = 2L/(N+1)."""
+    """Dirichlet box (-L, L) with N interior nodes.
+
+    The operator places the nodes uniformly in xi = a asinh(x/a), with
+    a = 4/alpha set by the well (see discretize), so they are nearly
+    uniform over the well and sparse along the tails. h = 2L/(N+1) is
+    the spacing of N uniform points on the box, and refined() halves
+    both h and the xi step exactly.
+    """
 
     L: float
     N: int
@@ -104,6 +123,7 @@ class Grid:
         return 2.0 * self.L / (self.N + 1)
 
     def points(self) -> np.ndarray:
+        """N uniform points on (-L, L), spacing h."""
         # x_j = (j - (N-1)/2) h is algebraically -L + (j+1) h but is
         # exactly antisymmetric in floats, so parity tests on the grid
         # hold to the bit.
@@ -118,16 +138,30 @@ def default_grid(alpha: float = 1.0) -> Grid:
     return Grid(L=DEFAULT_HALF_WIDTH / alpha, N=DEFAULT_POINTS)
 
 
+def _xi_grid(grid: Grid, alpha: float) -> Grid:
+    # the uniform grid in xi whose image under x = a sinh(xi / a) holds
+    # grid's nodes; its h is the xi step
+    a = _STRETCH / alpha
+    return Grid(L=a * math.asinh(grid.L / a), N=grid.N)
+
+
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Complex symmetric tridiagonal form of -d^2/dx^2 + V - e0."""
+    """Complex symmetric tridiagonal form of -d^2/dx^2 + V - e0.
+
+    nodes are the x positions of the rows and weights their quadrature
+    weights w; an eigenvector y holds sqrt(w) times the wavefunction.
+    """
 
     diag: np.ndarray
-    offdiag: float
+    offdiag: np.ndarray
     grid: Grid
+    nodes: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        self.diag.setflags(write=False)
+        for array in (self.diag, self.offdiag, self.nodes, self.weights):
+            array.setflags(write=False)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         w = self.diag * v
@@ -139,13 +173,14 @@ class DiscretizedOperator:
         """Residual tolerance of every certified solve on this operator.
 
         DEFAULT_TOL, floored at the rounding level of ||Hv - theta v||
-        for a unit vector: the matvec works with entries of size 2/h^2,
-        so the residual of even an exact eigenpair cannot drop below
-        about eps * ||H||. The floor is above DEFAULT_TOL on every
-        default grid.
+        for a unit vector: the matvec works with entries of size
+        2/dxi^2 over the well, so the residual of even an exact
+        eigenpair cannot drop below about eps * ||H||. The floor is
+        above DEFAULT_TOL on every default grid.
         """
         eps = float(np.finfo(np.float64).eps)
-        floor = 8.0 * eps * (2.0 * abs(self.offdiag) + float(np.abs(self.diag).max()))
+        off = float(np.abs(self.offdiag).max())
+        floor = 8.0 * eps * (2.0 * off + float(np.abs(self.diag).max()))
         return max(DEFAULT_TOL, floor)
 
 
@@ -154,10 +189,12 @@ class EigenResult:
     """One certified eigenpair summary.
 
     residual is ||H psi - E psi|| for the normalized eigenvector,
-    recomputed after convergence. boundary_leak is the largest |psi| on
-    the outer five percent of the box over the global maximum; a
-    genuinely bound, well-contained state leaves essentially nothing
-    there.
+    recomputed after convergence. boundary_leak is the largest
+    wavefunction amplitude on the outer five percent of the box
+    (|x| >= 0.95 L) over its global maximum; a genuinely bound,
+    well-contained state leaves essentially nothing there. iterations
+    counts the tridiagonal solves, the one that reads the leak
+    included.
     """
 
     energy: complex
@@ -166,25 +203,47 @@ class EigenResult:
     iterations: int
 
 
+def _mapped_operator(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
+    # Three-point Laplacian on the nodes x_j = a sinh(xi_j / a), with
+    # spacings h_i = x_{i+1} - x_i from wall to wall and weights
+    # w_i = (h_{i-1} + h_i) / 2. Scaling row and column i by sqrt(w_i)
+    # makes it complex symmetric: 2/(h_{i-1} h_i) on the diagonal and
+    # -1/(h_i sqrt(w_i w_{i+1})) beside it. The xi nodes are exactly
+    # antisymmetric and every entry is a commutative product of mirror
+    # spacings, so a parity-symmetric well gives a mirror-symmetric
+    # matrix to the bit.
+    a = _STRETCH / v.alpha
+    x = a * np.sinh(_xi_grid(grid, v.alpha).points() / a)
+    step = np.diff(x, prepend=-grid.L, append=grid.L)
+    lo, hi = step[:-1], step[1:]
+    weights = 0.5 * (lo + hi)
+    potential = v.evaluate(x, include_offset=False)
+    diag = (2.0 / (lo * hi) + potential).astype(np.complex128)
+    offdiag = -1.0 / (hi[:-1] * np.sqrt(weights[:-1] * weights[1:]))
+    return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid, nodes=x, weights=weights)
+
+
 def discretize(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
-    """Second-order central-difference operator with Dirichlet walls.
+    """Second-order finite-difference operator with Dirichlet walls.
 
-    The potential is evaluated exactly from (t2, st) at the nodes and
-    the constant tail e0 is subtracted, so bound states sit at negative
-    real part and the continuum threshold is at zero.
+    The grid's N nodes are uniform in xi = a asinh(x/a), a = 4/alpha,
+    between the walls at -L and L. The potential is evaluated exactly
+    from (t2, st) at the nodes and the constant tail e0 is subtracted,
+    so bound states sit at negative real part and the continuum
+    threshold is at zero.
     """
-    h = grid.h
-    potential = v.evaluate(grid.points(), include_offset=False)
-    diag = (2.0 / (h * h) + potential).astype(np.complex128)
-    return DiscretizedOperator(diag=diag, offdiag=-1.0 / (h * h), grid=grid)
+    # the census builds its coarse operator with _mapped_operator too,
+    # so this name counts only the certified grids
+    return _mapped_operator(v, grid)
 
 
-def _boundary_leak(v: np.ndarray) -> float:
-    n = v.size
-    edge = max(1, int(round(0.025 * n)))
-    peak = float(np.abs(v).max())
-    tail = max(float(np.abs(v[:edge]).max()), float(np.abs(v[-edge:]).max()))
-    return tail / peak
+def _boundary_leak(op: DiscretizedOperator, y: np.ndarray) -> float:
+    # wavefunction amplitude |y| / sqrt(w); the outermost node at each
+    # end counts even on a grid too coarse to reach 0.95 L
+    amplitude = np.abs(y) / np.sqrt(op.weights)
+    edge = np.abs(op.nodes) >= _EDGE_FRACTION * op.grid.L
+    edge[[0, -1]] = True
+    return float(amplitude[edge].max()) / float(amplitude.max())
 
 
 def eigen_near(
@@ -201,7 +260,12 @@ def eigen_near(
     pivoted LU, and switches to Rayleigh-quotient updates after three
     sweeps. The Rayleigh estimate theta = v^H H v minimizes the
     residual for the current vector, and the returned residual is
-    recomputed independently after the loop.
+    recomputed independently after the loop. A vector whose residual
+    is within tol can still hold components of order tol / gap along
+    its nearest neighbours, which for a level near the threshold are
+    box continuum reaching the walls; boundary_leak is therefore read
+    from one more sweep on the same factorization, which damps them,
+    so it measures the state rather than the stopping point.
 
     Raises:
         NoConvergence: residual stayed above tol for max_iter sweeps.
@@ -212,7 +276,7 @@ def eigen_near(
         raise ValueError(f"tol must be positive, got {tol}")
     d = op.diag
     n = d.size
-    off = np.full(n - 1, op.offdiag, dtype=np.complex128)
+    off = op.offdiag
 
     def factor(sigma: complex):
         for trial in (sigma, sigma + tol, sigma + 1j * tol):
@@ -233,14 +297,18 @@ def eigen_near(
     v /= np.linalg.norm(v)
     theta = complex(shift)
     residual = math.inf
-    for it in range(1, max_iter + 1):
+
+    def sweep(v: np.ndarray) -> np.ndarray:
         y, info = zgttrs(*lu, v)
         if info != 0:
             raise SingularShift(f"tridiagonal solve failed near shift {theta}")
         norm = float(np.linalg.norm(y))
         if not math.isfinite(norm) or norm == 0.0:
             raise SingularShift(f"inverse iteration overflowed near shift {theta}")
-        v = y / norm
+        return y / norm
+
+    for it in range(1, max_iter + 1):
+        v = sweep(v)
         hv = op.matvec(v)
         theta = complex(np.vdot(v, hv))
         residual = float(np.linalg.norm(hv - theta * v))
@@ -248,8 +316,8 @@ def eigen_near(
             return EigenResult(
                 energy=theta,
                 residual=residual,
-                boundary_leak=_boundary_leak(v),
-                iterations=it,
+                boundary_leak=_boundary_leak(op, sweep(v)),
+                iterations=it + 1,
             )
         if it >= 3:
             lu = factor(theta)
@@ -275,31 +343,21 @@ def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> Eige
 
 
 def _census(v: PotentialCoefficients, grid: Grid) -> list[complex]:
-    # Every eigenvalue of a coarse operator on the same Dirichlet box,
-    # sorted. Nodes x = a sinh(xi / a) with xi uniform are nearly
-    # uniform over the well (|x| < a = 4 ranges), with dxi set by the
-    # fastest local oscillation sqrt(|V| + alpha^2) that a bound state
-    # can have, and spread out geometrically along the tails, so the
-    # point count grows like log L rather than L; a three-point
-    # non-uniform Laplacian keeps the operator tridiagonal. The values
-    # land within a few hundredths of the fine-grid levels (a few tenths
-    # for the two halves of a split exceptional pair), close enough for
-    # inverse iteration to take over, and never cost more points than
-    # grid itself.
-    a = 4.0 / v.alpha
+    # Every eigenvalue of the mapped operator on the same box at a
+    # coarse xi step, sorted: dxi is set by the fastest local
+    # oscillation sqrt(|V| + alpha^2) that a bound state can have. The
+    # values land within a few hundredths of the fine-grid levels (a few
+    # tenths for the two halves of a split exceptional pair), close
+    # enough for inverse iteration to take over, and never cost more
+    # points than grid itself.
     v_max = abs(v.t2) + 0.5 * abs(v.st)
     dxi = 0.5 / math.sqrt(v_max + v.alpha * v.alpha)
-    xi_max = a * math.asinh(grid.L / a)
+    xi_max = _xi_grid(grid, v.alpha).L
     n = min(grid.N, max(3, int(math.ceil(2.0 * xi_max / dxi)) - 1))
-    x = a * np.sinh(np.linspace(-xi_max, xi_max, n + 2) / a)
-    step = np.diff(x)
-    lo, hi = step[:-1], step[1:]
-    width = lo + hi
-    j = np.arange(n)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    mat[j, j] = 2.0 / (lo * hi) + v.evaluate(x[1:-1], include_offset=False)
-    mat[j[1:], j[:-1]] = -2.0 / (lo[1:] * width[1:])
-    mat[j[:-1], j[1:]] = -2.0 / (hi[:-1] * width[:-1])
+    op = _mapped_operator(v, Grid(L=grid.L, N=n))
+    mat = np.diag(op.diag)
+    j = np.arange(n - 1)
+    mat[j, j + 1] = mat[j + 1, j] = op.offdiag
     values = eigvals(mat, overwrite_a=True, check_finite=False)
     return sorted((complex(z) for z in values), key=energy_sort_key)
 
@@ -379,10 +437,12 @@ class AnalyticLevel:
     """A closed-form level: which tower, which rung, what energy.
 
     multiplicity > 1 marks a level predicted by more than one tower.
-    That happens exactly on the exchange-degenerate family, where the
-    two towers share their wavefunctions as well, so the operator holds
-    the level once but with algebraic multiplicity two (a defective,
-    exceptional-point eigenvalue).
+    On the exchange-degenerate family A + alpha/2 = B the two towers
+    share their wavefunctions as well, so the operator holds the level
+    once but with algebraic multiplicity two (a defective,
+    exceptional-point eigenvalue). It also happens where the towers
+    cross, when A + alpha/2 - B is a nonzero multiple of alpha: one
+    rung of each tower lands on the same energy.
     """
 
     series: str
@@ -463,8 +523,11 @@ def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
     need = _LEAK_HALF_WIDTH_FACTOR / kappa_min
     if need <= base.L:
         return base
-    # keep the spacing of the base grid while growing the box
-    n = int(math.ceil((base.N + 1) * need / base.L)) - 1
+    # keep the xi step of the base grid while growing the box: N grows
+    # like log(need), not like need
+    dxi = _xi_grid(base, alpha).h
+    xi_max = _xi_grid(Grid(L=need, N=base.N), alpha).L
+    n = int(math.ceil(2.0 * xi_max / dxi)) - 1
     return Grid(L=need, N=n)
 
 
@@ -507,25 +570,30 @@ def verify_spectrum(
 
     The analytic prediction fixes the seeds and the box size: the grid
     argument sets the base resolution, and with auto_domain the
-    half-width grows (same spacing) until the slowest-decaying
-    predicted state fits with boundary leak under DEFAULT_MAX_LEAK.
-    Every numeric eigenvalue is Richardson refined before matching,
-    since the raw h^2 discretization error at the default spacing is
-    above tol_match: the state bound_spectrum polished on the box grid
-    is the coarse member, and the h/2 grid is discretized once for all
-    states. Matching is greedy nearest-pair with capacity equal to
-    the predicted multiplicity: a doubly-predicted (defective) level
-    absorbs the conjugate pair the discretization splits it into, and
-    is reported once, at the cluster mean, where the splitting cancels
-    to second order. The report PASSes only if every analytic level
-    took at least one numeric partner, no numeric state is left over,
-    and the worst pairing error is within tol_match.
+    half-width grows (same xi step, so N grows like log L) until the
+    slowest-decaying predicted state fits with boundary leak under
+    DEFAULT_MAX_LEAK. Every numeric eigenvalue is Richardson refined
+    before matching, since the raw second-order discretization error
+    at the default step is above tol_match: the state bound_spectrum
+    polished on the box grid is the coarse member, and the h/2 grid is
+    discretized once for all states. Matching is greedy nearest-pair
+    with capacity equal to the predicted multiplicity: a
+    doubly-predicted (defective) level absorbs the conjugate pair the
+    discretization splits it into, and is reported once, at the
+    cluster mean, where the splitting cancels to second order. The
+    report PASSes only if every analytic level took at least one
+    numeric partner, no numeric state is left over, and the worst
+    pairing error is within tol_match.
 
     Raises:
+        ValueError: tol_match is not in (0, MAX_TOL_MATCH]; a larger
+            one would let a level capture its neighbours' states.
         DomainTooSmall: with auto_domain=False, when the base grid
             clips a bound state (this is also how a deliberately small
             box fails loudly rather than returning polluted numbers).
     """
+    if not 0.0 < tol_match <= MAX_TOL_MATCH:
+        raise ValueError(f"tol_match must be in (0, {MAX_TOL_MATCH}], got {tol_match!r}")
     base = grid if grid is not None else default_grid(p.alpha)
     levels = _analytic_levels(p, branch)
     v = pcs_partner_coefficients(p, branch)

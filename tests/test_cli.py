@@ -263,6 +263,17 @@ class TestUsageErrors:
             assert run(["bifurcation", *A23, "--config", str(cfg)]) == 2
             assert "finite" in capsys.readouterr().err
 
+    def test_tol_match_above_bound(self, capsys, tmp_path):
+        # matching looks within 10 tol_match of each level, so a huge
+        # value would certify any well; flag and config are both capped
+        assert run(["verify", *A23, "--tol-match", "1e300"]) == 2
+        assert "--tol-match must be at most" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol_match": 0.002}')
+        assert run(["verify", *A23, "--config", str(cfg)]) == 2
+        assert run(["bifurcation", *A23, "--verify-at", "1", "--tol-match", "1e-2"]) == 2
+        assert run(["verify", *A23, "--tol-match", "1e-3"]) == 0
+
     def test_bad_scan_bounds(self, capsys):
         assert run(["bifurcation", *A23, "--C-min", "1", "--C-max", "0"]) == 2
         assert run(["bifurcation", *A23, "--steps", "0"]) == 2

@@ -1,6 +1,7 @@
 """Closed-form algebra: coefficient formulas, PT constraint, exchange."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ class TestValidation:
         assert BranchSign.from_string("MINUS") is MINUS
         with pytest.raises(ValueError):
             BranchSign.from_string("both")
+
+
+def test_far_tail_evaluates_silently():
+    # cosh overflows past |alpha x| ~ 710; sech is then exactly 0.0,
+    # with no RuntimeWarning
+    v = pcs_partner_coefficients(SusyParams(0.02, 3, 0, 1), PLUS)
+    x = np.array([-1050.0, -711.0, 0.0, 711.0, 1050.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = v.evaluate(x, include_offset=False)
+    assert values[0] == values[1] == values[3] == values[4] == 0.0
+    assert values[2] == v.t2
 
 
 class TestPartnerPotentials:
