@@ -48,7 +48,8 @@ class DomainTooSmall(PcsSpectraError):
     """A converged bound state still has visible amplitude at the box edge.
 
     The caller must enlarge the half-width L; eigenvalues computed on this
-    grid carry an uncontrolled truncation error.
+    grid carry an uncontrolled truncation error. Also raised when the
+    box and the well depth need a dense census above its point budget.
     """
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -97,6 +98,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 3
         assert "enlarge the domain" in err
+
+    def test_census_over_budget_exit_three_quickly(self, capsys):
+        # a huge but representable box gets a census of n = N = 4000
+        # points, a dense eigensolve that would run past a minute
+        start = time.perf_counter()
+        code = run(["verify", "--A", "2", "--B", "3", "--L", "1e30"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "n = 4000" in captured.err and "budget" in captured.err
+        assert elapsed < 10.0
+
+    def test_deep_well_census_names_its_size(self, capsys):
+        code = run(["verify", "--A", "20", "--B", "25"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "n = 1924" in err and "budget of 1500" in err
 
 
 class TestSl2:
@@ -385,6 +404,14 @@ class TestDeterminism:
         run(["spectrum", "--A", "2.5", "--B", "3.2", "--C", "0.3"])
         first = capsys.readouterr().out
         run(["spectrum", "--A", "2.5", "--B", "3.2", "--C", "0.3"])
+        second = capsys.readouterr().out
+        assert first == second and first.endswith("\n")
+
+    def test_verify_identical_bytes(self, capsys):
+        # the numeric digits too, for a fixed BLAS thread count
+        assert run(["verify", "--A", "2", "--B", "3"]) == 0
+        first = capsys.readouterr().out
+        assert run(["verify", "--A", "2", "--B", "3"]) == 0
         second = capsys.readouterr().out
         assert first == second and first.endswith("\n")
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcs_spectra import (
     BranchSign,
@@ -32,6 +34,14 @@ def random_params(rng, c_zero=False):
     C = 0.0 if c_zero else rng.uniform(-1.5, 1.5)
     alpha = rng.uniform(0.5, 2.0)
     return SusyParams(A=A, B=B, C=C, alpha=alpha)
+
+
+def box_params():
+    """Hypothesis strategy over the box of random_params."""
+    return st.builds(
+        SusyParams, st.floats(0.5, 3.5), st.floats(0.5, 3.5), st.floats(-1.5, 1.5),
+        st.floats(0.5, 2.0),
+    )
 
 
 class TestValidation:
@@ -180,28 +190,29 @@ class TestExchange:
         assert v.t2 == pytest.approx(-16.24)
         assert v.st == pytest.approx(16j)
 
-    def test_involution_exact_on_dyadic_parameters(self):
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 4 * 2**20),
+        st.integers(1, 4 * 2**20),
+        st.integers(-2 * 2**20, 2 * 2**20),
+        st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    )
+    def test_involution_exact_on_dyadic_parameters(self, a, b, c, alpha):
         # parameters on a 2^-20 lattice make the half-step shifts exact
-        rng = np.random.default_rng(11)
         scale = 2.0**-20
-        for _ in range(200):
-            A = float(rng.integers(1, 4 * 2**20)) * scale
-            B = float(rng.integers(1, 4 * 2**20)) * scale
-            C = float(rng.integers(-2 * 2**20, 2 * 2**20)) * scale
-            alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
-            p = SusyParams(A, B, C, alpha)
-            assert exchange_map(exchange_map(p)) == p
-            cp = complexify(p, PLUS)
-            back = exchange_map(exchange_map(cp))
-            assert back.calA == cp.calA and back.calB == cp.calB
+        p = SusyParams(a * scale, b * scale, c * scale, alpha)
+        assert exchange_map(exchange_map(p)) == p
+        cp = complexify(p, PLUS)
+        back = exchange_map(exchange_map(cp))
+        assert back.calA == cp.calA and back.calB == cp.calB
 
-    def test_involution_within_rounding_generally(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            p = random_params(rng)
-            q = exchange_map(exchange_map(p))
-            assert abs(q.A - p.A) <= 4 * np.finfo(float).eps * max(1, abs(p.A))
-            assert abs(q.B - p.B) <= 4 * np.finfo(float).eps * max(1, abs(p.B))
+    @settings(max_examples=200)
+    @given(box_params())
+    def test_involution_within_rounding_generally(self, p):
+        q = exchange_map(exchange_map(p))
+        assert (q.C, q.alpha) == (p.C, p.alpha)
+        assert abs(q.A - p.A) <= 4 * np.finfo(float).eps * max(1, abs(p.A))
+        assert abs(q.B - p.B) <= 4 * np.finfo(float).eps * max(1, abs(p.B))
 
     def test_profile_invariance_under_exchange(self):
         # both factorizations of the same well: (t2, st) agree, only the

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcs_spectra import (
     BranchSign,
@@ -73,6 +76,114 @@ class TestMappedOperator:
         assert np.array_equal(op.weights[::-1], op.weights)
         assert np.array_equal(op.offdiag[::-1], op.offdiag)
         assert np.array_equal(op.diag[::-1], op.diag.conj())
+
+
+def dense_operator(v, L, n):
+    """The census operator as a dense complex matrix."""
+    op = discretize(v, Grid(L=L, N=n))
+    return np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+
+
+def dense_reference(v, L, n):
+    return np.linalg.eigvals(dense_operator(v, L, n))
+
+
+def is_conjugate_closed(values):
+    return np.array_equal(np.sort_complex(values), np.sort_complex(np.conj(values)))
+
+
+def pair_off(values, reference, tol):
+    """Census value paired with each reference eigenvalue, one to one.
+
+    Fails unless every reference eigenvalue has its own census value
+    within tol (a scalar, or one bound per reference value).
+    """
+    values = np.asarray(values)
+    dist = np.abs(values[:, None] - reference[None, :])
+    nearest = dist.argmin(axis=0)
+    assert values.size == reference.size
+    assert np.unique(nearest).size == reference.size
+    assert np.all(dist[nearest, np.arange(reference.size)] <= tol)
+    return values[nearest]
+
+
+def pt_wells():
+    # criterion 5's box with C = 0
+    return st.builds(
+        SusyParams, st.floats(0.5, 3.5), st.floats(0.5, 3.5), st.just(0.0), st.floats(0.5, 2.0)
+    )
+
+
+@st.composite
+def pt_degenerate_wells(draw):
+    # 2(A - B) + alpha = 0 with C != 0, on a 2^-6 lattice of criterion
+    # 5's box, where B = A + alpha/2 is exact and so the family holds to
+    # the bit
+    def lattice(lo, hi):
+        return st.integers(int(lo * 64), int(hi * 64)).map(lambda k: k / 64)
+
+    A = draw(lattice(0.5, 3.5))
+    alpha = draw(lattice(0.5, 2.0))
+    C = draw(lattice(-1.5, 1.5).filter(lambda c: c != 0.0))
+    return SusyParams(A, A + 0.5 * alpha, C, alpha)
+
+
+class TestCensus:
+    @pytest.mark.parametrize(
+        "params, branch, n",
+        [
+            # at even n the two centre anti-diagonal entries of the real
+            # similarity sit on the offdiagonals
+            pytest.param(SusyParams(2, 3, 0, 1), PLUS, 200, id="(2, 3, 0) even n"),
+            pytest.param(SusyParams(2, 3, 0, 1), PLUS, 201, id="(2, 3, 0) odd n"),
+            pytest.param(SusyParams(2, 2.5, 0, 1), PLUS, 166, id="(2, 2.5, 0) even n"),
+            # PT-degenerate: 2(A - B) + alpha = 0 with C != 0
+            pytest.param(SusyParams(2, 2.5, 1, 1), PLUS, 162, id="(2, 2.5, 1) even n"),
+            pytest.param(SusyParams(2, 2.5, 1, 1), PLUS, 161, id="(2, 2.5, 1) odd n"),
+        ],
+    )
+    def test_pt_well_matches_complex_reference(self, params, branch, n):
+        v = pcs_partner_coefficients(params, branch)
+        values = np.array(numerics._census(v, Grid(L=42.0, N=n)))
+        reference = dense_reference(v, 42.0, n)
+        tol = 1e-9 * np.maximum(1.0, np.abs(reference))
+        paired = pair_off(values, reference, tol)
+        # closed under conjugation to the bit, and real levels exactly real
+        assert is_conjugate_closed(values)
+        real = np.abs(reference.imag) <= tol
+        assert real.any()
+        assert np.all(paired[real].imag == 0.0)
+
+    def test_broken_well_matches_complex_reference(self):
+        v = pcs_partner_coefficients(SusyParams(2, 3, 0.5, 1), BranchSign.MINUS)
+        op = discretize(v, Grid(L=42.0, N=235))
+        assert not np.array_equal(op.diag[::-1], op.diag.conj())
+        values = numerics._census(v, Grid(L=42.0, N=235))
+        reference = dense_reference(v, 42.0, 235)
+        pair_off(values, reference, 1e-9 * np.maximum(1.0, np.abs(reference)))
+
+    @staticmethod
+    def assert_census_is_dense_spectrum(p, branch, n):
+        # both eigensolvers are backward stable, so they may differ by
+        # the condition number of each eigenvalue (||x||^2 / |x^T x| for
+        # a complex symmetric matrix) times a few rounding errors of ||H||
+        v = pcs_partner_coefficients(p, branch)
+        grid = Grid(L=numerics.DEFAULT_HALF_WIDTH / p.alpha, N=n)
+        values = np.array(numerics._census(v, grid))
+        h = dense_operator(v, grid.L, values.size)
+        reference, x = scipy.linalg.eig(h)
+        kappa = np.linalg.norm(x, axis=0) ** 2 / np.abs(np.sum(x * x, axis=0))
+        eps = np.finfo(np.float64).eps
+        pair_off(values, reference, 1e3 * eps * np.linalg.norm(h, 2) * kappa)
+        assert is_conjugate_closed(values)
+
+    @given(pt_wells(), st.sampled_from(list(BranchSign)), st.integers(3, 120))
+    def test_pt_wells_over_criterion_5_box(self, p, branch, n):
+        self.assert_census_is_dense_spectrum(p, branch, n)
+
+    @given(pt_degenerate_wells(), st.sampled_from(list(BranchSign)), st.integers(3, 120))
+    def test_pt_degenerate_wells_over_criterion_5_box(self, p, branch, n):
+        self.assert_census_is_dense_spectrum(p, branch, n)
 
 
 class TestEigenNear:

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcs_spectra import (
     BranchSign,
@@ -91,8 +93,19 @@ def test_ladder_exhausts_below_alpha():
         shape_invariance_step(w)
 
 
-def test_broken_spectrum_conjugate_pairs_bitwise():
-    spec = broken_spectrum(SusyParams(2, 3, 0.5, 1))
+@settings(max_examples=200)
+@given(
+    st.builds(
+        SusyParams,
+        st.floats(0.5, 3.5),
+        st.floats(0.5, 3.5),
+        st.floats(-1.5, 1.5).filter(lambda c: c != 0.0),
+        st.floats(0.5, 2.0),
+    )
+)
+@example(SusyParams(2, 3, 0.5, 1))
+def test_broken_spectrum_conjugate_pairs_bitwise(p):
+    spec = broken_spectrum(p)
     for sp, sm in zip(spec.plus, spec.minus):
         assert len(sp.energies) == len(sm.energies)
         for ep, em in zip(sp.energies, sm.energies):
