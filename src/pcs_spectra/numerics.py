@@ -17,10 +17,12 @@ halved) and Richardson extrapolation.
 
 Nothing here trusts the closed-form towers. bound_spectrum takes a
 census of every eigenvalue of a small dense operator from the same
-builder on the same box at a coarse xi step, polishes the seeds and
-each census value below the threshold by inverse iteration on the fine
-grid, and certifies every result by its own residual and its boundary
-leak, so states the formulas do not predict are found too. A
+builder on the same box at a coarse xi step (once more at half that
+step if two census values polish to one state), polishes each census
+value below the threshold by inverse iteration on the fine grid, and
+certifies every result by its own residual and its boundary leak, so
+no state is found because the formulas predicted it, and states they
+do not predict are found too. A
 PT-symmetric well (V(-x) = V(x)*) gives an operator H with J H J =
 conj(H), J the flip; the unitary Q = e^{-i pi/4} (I + i J) / sqrt(2)
 then makes Q^H H Q = Re H - (Im H) J real (Bender and Boettcher, PRL
@@ -354,16 +356,16 @@ def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> Eige
     )
 
 
-def _census(v: PotentialCoefficients, grid: Grid) -> list[complex]:
+def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[complex]:
     # Every eigenvalue of the mapped operator on the same box at a
-    # coarse xi step, sorted: dxi is set by the fastest local
-    # oscillation sqrt(|V| + alpha^2) that a bound state can have. The
-    # values land within a few hundredths of the fine-grid levels (a few
-    # tenths for the two halves of a split exceptional pair), close
-    # enough for inverse iteration to take over, and never cost more
-    # points than grid itself.
+    # coarse xi step, halved `halvings` times, sorted: dxi is set by the
+    # fastest local oscillation sqrt(|V| + alpha^2) that a bound state
+    # can have. The values land within a few hundredths of the fine-grid
+    # levels (a few tenths for the two halves of a split exceptional
+    # pair), close enough for inverse iteration to take over, and never
+    # cost more points than grid itself.
     v_max = abs(v.t2) + 0.5 * abs(v.st)
-    dxi = 0.5 / math.sqrt(v_max + v.alpha * v.alpha)
+    dxi = 0.5 / math.sqrt(v_max + v.alpha * v.alpha) / 2**halvings
     xi_max = _xi_grid(grid, v.alpha).L
     n = min(grid.N, max(3, int(math.ceil(2.0 * xi_max / dxi)) - 1))
     if n > _MAX_CENSUS_POINTS:
@@ -402,21 +404,21 @@ def bound_spectrum(
 ) -> list[EigenResult]:
     """All certified eigenvalues with Re(E) below the threshold.
 
-    Shifts are the seeds (analytic predictions, when available) and a
-    census: every eigenvalue of a small dense operator on the same box
-    with real part below re_limit, less those above zero real part that
-    decay too slowly across the box to pass the leak gate. Each shift is
-    polished by inverse iteration on the given grid, to the operator's
-    certified_tol(), so the census guards against states the seeds do
-    not predict. The census resolves levels only to a few hundredths:
-    two levels closer than that can merge into one value that polishes
-    to just one of them, which is why verify_spectrum passes the
-    analytic levels as seeds. Runs converging to Re(E) >= re_limit are
+    Shifts come from a census: every eigenvalue of a small dense
+    operator on the same box with real part below re_limit, less those
+    above zero real part that decay too slowly across the box to pass
+    the leak gate. Each shift is polished by inverse iteration on the
+    given grid, to the operator's certified_tol(), and eigenvalues
+    closer than 1e-6 are taken as the same state. The census resolves
+    levels only to a few hundredths, so two close levels can merge into
+    census values that polish to one state; when two values of the
+    census land on one state, the census is taken once more at half its
+    xi step and those values are polished too. seeds are optional extra
+    shifts, polished first. Runs converging to Re(E) >= re_limit are
     discarded; re_limit = 0 is the continuum threshold of the
     e0-subtracted operator, and callers may raise it to chase
     normalizable states whose energy has crept past zero real part in
-    the broken phase. Eigenvalues closer than 1e-6 are considered the
-    same state.
+    the broken phase.
 
     Raises:
         DomainTooSmall: a converged state at Re(E) <= 0 still has
@@ -424,31 +426,26 @@ def bound_spectrum(
             it and its eigenvalue cannot be trusted. Leaky states at
             positive real part are box artifacts of the truncated
             continuum and are dropped instead. Also raised, naming the
-            size it would need, when the census needs more than
+            size it would need, when a census needs more than
             _MAX_CENSUS_POINTS points.
     """
     op = discretize(v, grid)
     tol = op.certified_tol()
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
-    shifts = [complex(s) for s in seeds]
-    shifts += [
-        z
-        for z in _census(v, grid)
-        if z.real < re_limit and not (z.real > 0.0 and _decay_rate(z) < min_decay)
-    ]
-
     accepted: list[EigenResult] = []
-    for shift in shifts:
+
+    def polish(shift: complex) -> int | None:
+        # index in accepted of the state the shift converges to, if kept
         try:
             res = eigen_near(op, shift, tol)
         except (NoConvergence, SingularShift) as exc:
             log.debug("shift %s: %s", shift, exc)
-            continue
+            return None
         if res.energy.real >= re_limit:
-            continue
+            return None
         if res.boundary_leak > max_leak:
             if res.energy.real > 0.0:
-                continue
+                return None
             raise DomainTooSmall(
                 f"state at E = {res.energy} leaks {res.boundary_leak:.3e} "
                 f"through the box edge at L = {grid.L}; enlarge the domain"
@@ -457,9 +454,25 @@ def bound_spectrum(
             if abs(kept.energy - res.energy) < _DEDUPE_TOL:
                 if res.residual < kept.residual:
                     accepted[k] = res
-                break
-        else:
-            accepted.append(res)
+                return k
+        accepted.append(res)
+        return len(accepted) - 1
+
+    def census(halvings: int) -> list[complex]:
+        return [
+            z
+            for z in _census(v, grid, halvings)
+            if z.real < re_limit and not (z.real > 0.0 and _decay_rate(z) < min_decay)
+        ]
+
+    for s in seeds:
+        polish(complex(s))
+    hits = [k for k in map(polish, census(0)) if k is not None]
+    if len(set(hits)) < len(hits):
+        # two census values on one state: the coarse step merged two
+        # levels, which half the step separates
+        for z in census(1):
+            polish(z)
     accepted.sort(key=lambda r: energy_sort_key(r.energy))
     return accepted
 
@@ -600,7 +613,8 @@ def verify_spectrum(
 ) -> VerificationReport:
     """Certify the analytic towers against the numerical solver.
 
-    The analytic prediction fixes the seeds and the box size: the grid
+    The analytic prediction fixes only the box size and re_limit;
+    bound_spectrum finds the states from its census alone. The grid
     argument sets the base resolution, and with auto_domain the
     half-width grows (same xi step, so N grows like log L) until the
     slowest-decaying predicted state fits with boundary leak under
@@ -636,7 +650,7 @@ def verify_spectrum(
         geff = base
         re_limit = 0.0
 
-    raw = bound_spectrum(v, geff, seeds=[lv.energy for lv in levels], re_limit=re_limit)
+    raw = bound_spectrum(v, geff, re_limit=re_limit)
     fine_op = discretize(v, geff.refined())
     refined = [refine_eigenvalue(r, fine_op) for r in raw]
 
