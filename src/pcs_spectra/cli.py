@@ -8,9 +8,10 @@ CSV. All output is deterministic: fixed field order, shortest
 round-trip floats, LF line endings.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL,
-2 usage or config error, 3 numeric failure, including finite inputs
-whose derived values overflow or underflow (the underlying error
-message is printed to stderr verbatim).
+2 usage or config error, or a report that cannot be written to --out,
+3 numeric failure, including finite inputs whose derived values
+overflow or underflow and towers over the level budget (the underlying
+error message is printed to stderr verbatim).
 """
 
 from __future__ import annotations
@@ -141,6 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(add("exchange", help="parameter-exchange image and invariance check"))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so one serves every
+    # run() in a process; build_parser is looked up when first called,
+    # so a wrapper set on the module attribute sees that call
+    return build_parser()
 
 
 # SusyParams requires every well parameter; the CLI defaults these two.
@@ -451,21 +460,23 @@ def _conjugacy_error(plus, minus):
     return max((abs(a - b) for a, b in zip(eps, ems)), default=0.0)
 
 
+def _point_payload(pt) -> dict:
+    plus, minus = pt.energies_plus, pt.energies_minus
+    return {
+        "C": pt.C,
+        "energies_plus": [_c(e) for e in plus],
+        "energies_minus": [_c(e) for e in minus],
+        "conjugacy_err": _conjugacy_error(plus, minus),
+    }
+
+
 def _cmd_bifurcation(cfg: RunConfig):
     p0 = cfg.params
     c_grid = [float(c) for c in np.linspace(cfg.c_min, cfg.c_max, cfg.steps)]
     points = bifurcation_scan(p0, c_grid)
     data = _head(cfg)
     data["c_grid"] = c_grid
-    data["points"] = [
-        {
-            "C": pt.C,
-            "energies_plus": [_c(e) for e in pt.energies_plus],
-            "energies_minus": [_c(e) for e in pt.energies_minus],
-            "conjugacy_err": _conjugacy_error(pt.energies_plus, pt.energies_minus),
-        }
-        for pt in points
-    ]
+    data["points"] = [_point_payload(pt) for pt in points]
 
     rows = [
         (pt.C, branch.value, s.label, n, e.real, e.imag, "")
@@ -543,16 +554,18 @@ def _render_csv(rows) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {out!r}: {exc}") from exc
 
 
 def run(argv=None) -> int:
     """Parse argv, dispatch, write the report; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -569,7 +582,11 @@ def run(argv=None) -> int:
         text = _render_csv(rows)
     else:
         text = json.dumps(data, indent=2) + "\n"
-    _emit(text, cfg.out)
+    try:
+        _emit(text, cfg.out)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return exit_code
 
 

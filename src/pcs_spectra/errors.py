@@ -4,6 +4,7 @@ __all__ = [
     "PcsSpectraError",
     "NoRealFactorization",
     "LadderExhausted",
+    "TowerTooLong",
     "NoConvergence",
     "SingularShift",
     "DomainTooSmall",
@@ -25,6 +26,13 @@ class NoRealFactorization(PcsSpectraError):
 
 class LadderExhausted(PcsSpectraError):
     """The shape-invariance ladder has no further bound state to step to."""
+
+
+class TowerTooLong(PcsSpectraError):
+    """A level tower would hold more levels than the level budget.
+
+    Raised before the ladder is walked, naming the count it would take.
+    """
 
 
 class NoConvergence(PcsSpectraError):

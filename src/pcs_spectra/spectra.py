@@ -9,10 +9,11 @@ one tower per factorization, hence two towers for this well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .core import BranchSign, SusyParams, Superpotential, dual_superpotentials
-from .errors import LadderExhausted
+from .errors import LadderExhausted, TowerTooLong
 
 __all__ = [
     "SpectrumSeries",
@@ -108,19 +109,35 @@ def shape_invariance_step(w: Superpotential):
     return w_next, shift
 
 
+# Levels one tower may hold. Criterion 5's box needs at most 8 and the
+# deep well (50, 55, 1) needs 55; a longer tower is an absurd input, and
+# past Re(lam)/alpha = 2^53 the step lam - alpha no longer moves lam.
+_MAX_TOWER_LEVELS = 10_000
+
+
 def _walk_ladder(w: Superpotential, label: str, branch: BranchSign) -> SpectrumSeries:
     # Emit -lam_n^2 while Re(lam_n) > 0; the strict inequality is the
     # normalizability condition for the rung's zero mode, validated
-    # against the numerical solver rather than postulated.
+    # against the numerical solver rather than postulated. The rungs are
+    # the numbers of shape_invariance_step, with its float expressions:
+    # Re(lam) only shrinks and Im(lam) is fixed, so validating w covers
+    # every rung.
+    lam, alpha = w.lam, w.alpha
+    levels = lam.real / alpha
+    if levels > _MAX_TOWER_LEVELS:
+        count = math.ceil(levels) if math.isfinite(levels) else levels
+        raise TowerTooLong(
+            f"{label} would hold {count} levels (Re(lam) = {lam.real}, alpha = {alpha}), "
+            f"over the level budget of {_MAX_TOWER_LEVELS}"
+        )
     ladder: list[tuple[complex, complex]] = []
     energies: list[complex] = []
-    current = w
-    while current.lam.real > 0.0:
-        ladder.append((current.lam, current.mu))
-        energies.append(-(current.lam * current.lam))
-        if current.lam.real < current.alpha:
+    while lam.real > 0.0:
+        ladder.append((lam, w.mu))
+        energies.append(-(lam * lam))
+        if lam.real < alpha:
             break
-        current, _ = shape_invariance_step(current)
+        lam = lam - alpha
     return SpectrumSeries(
         label=label,
         branch=branch,
@@ -143,6 +160,10 @@ def two_series_spectrum(p, branch: BranchSign = BranchSign.PLUS):
     Re(lam) is not positive. Energies are relative to the constant tail
     of the potential, so genuinely bound levels have negative real part
     in the unbroken phase.
+
+    Raises:
+        TowerTooLong: when a tower would hold more than 10,000 levels,
+            i.e. Re(lam_0) / alpha exceeds that level budget.
     """
     w, w_exchanged = dual_superpotentials(p, branch)
     s1 = _walk_ladder(w, "series1", branch)

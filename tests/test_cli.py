@@ -9,7 +9,7 @@ import time
 import pytest
 
 import pcs_spectra.spectra
-from pcs_spectra import DEFAULT_TOL_MATCH, BranchSign, SusyParams
+from pcs_spectra import DEFAULT_TOL_MATCH, BranchSign, SusyParams, cli
 from pcs_spectra.cli import RunConfig, assemble_config, build_parser, run
 
 A23 = ["--A", "2", "--B", "3", "--alpha", "1"]
@@ -116,6 +116,29 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 3
         assert "n = 1924" in err and "budget of 1500" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Re(lam)/alpha >= 2^53: lam - alpha == lam, so the walk never ended
+        ["verify", "--A", "1e17", "--B", "3"],
+        ["bifurcation", "--A", "1e17", "--B", "3"],
+        # a million levels: 74 MB of JSON
+        ["spectrum", "--A", "1e6", "--B", "3"],
+    ],
+    ids=["verify", "bifurcation", "spectrum"],
+)
+def test_tower_over_level_budget_exit_three_quickly(capsys, argv):
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: series1 would hold ")
+    assert "over the level budget of 10000" in captured.err
+    assert elapsed < 5.0
 
 
 class TestSl2:
@@ -304,6 +327,15 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, command):
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            assert run([command, *A23, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write report to {str(out)!r}: ")
+            assert "Traceback" not in captured.err
+
 
 class TestConfig:
     def test_config_overrides_flags(self, capsys, tmp_path):
@@ -420,3 +452,59 @@ class TestDeterminism:
         assert run(["spectrum", "--A", "2.5", "--B", "3.2", "--out", str(out)]) == 0
         raw = out.read_bytes()
         assert b"\r" not in raw and raw.decode("utf-8")
+
+
+class TestParserReuse:
+    """run() builds its parser once per process and shares it."""
+
+    @pytest.fixture(autouse=True)
+    def empty_parser_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_build_parser_called_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert run(["analyze", *A23]) == 0
+        assert run(["spectrum", *A23]) == 0
+        assert run(["analyze", "--B", "3"]) == 2
+        assert len(calls) == 1
+        # the public builder still returns a new parser on each call
+        assert build_parser() is not build_parser()
+
+    def test_shared_parser_output_equals_fresh_parser(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"command": "spectrum", "A": 2.5, "B": 3.2, "C": 0.3}')
+        verify_twice = ["bifurcation", *A23, "--steps", "2", "--N", "400",
+                        "--verify-at", "0", "--verify-at", "1"]
+        calls = [
+            ["analyze", *A23, "--frobnicate"],
+            ["--help"],
+            verify_twice,
+            ["verify", "--help"],
+            ["spectrum", "--config", str(cfg)],
+            ["bifurcation", *A23, "--steps", "3"],
+            ["bifurcation"],
+            verify_twice,
+            ["analyze", *A23],
+        ]
+
+        def outcome(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [outcome(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2, 0, 0]
+        assert len(json.loads(shared[2][1])["verifications"]) == 2

@@ -63,6 +63,7 @@ EXPORTS = {
         "PcsSpectraError",
         "NoRealFactorization",
         "LadderExhausted",
+        "TowerTooLong",
         "NoConvergence",
         "SingularShift",
         "DomainTooSmall",
@@ -73,7 +74,7 @@ EXPORTS = {
 
 def test_all_lists_exactly_the_public_names_once():
     names = pcs_spectra.__all__
-    assert len(names) == len(set(names)) == 52
+    assert len(names) == len(set(names)) == 53
     assert set(names) == set().union(*EXPORTS.values())
 
 

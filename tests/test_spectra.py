@@ -12,6 +12,7 @@ from pcs_spectra import (
     LadderExhausted,
     Superpotential,
     SusyParams,
+    TowerTooLong,
     bifurcation_scan,
     broken_spectrum,
     dual_superpotentials,
@@ -51,6 +52,64 @@ def test_series_formula_random():
                 lam -= alpha
             assert len(s.energies) == len(want)
             assert np.allclose(s.energies, want, atol=1e-10)
+
+
+def stepped_tower(w):
+    """(lam_n, mu_n) and -lam_n^2 of each rung, by shape_invariance_step."""
+    ladder, energies = [], []
+    while w.lam.real > 0.0:
+        ladder.append((w.lam, w.mu))
+        energies.append(w.factorization_energy)
+        try:
+            w, _ = shape_invariance_step(w)
+        except LadderExhausted:
+            break
+    return ladder, energies
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(values)]
+
+
+@st.composite
+def scaled_wells(draw):
+    # criterion 5's box, with every parameter scaled by one power of ten
+    # up to 1e150; the tower lengths stay those of the box
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    A, B = draw(st.floats(0.5, 3.5)), draw(st.floats(0.5, 3.5))
+    C, alpha = draw(st.floats(-1.5, 1.5)), draw(st.floats(0.5, 2.0))
+    return SusyParams(A * scale, B * scale, C * scale, alpha * scale)
+
+
+@settings(max_examples=200)
+@given(scaled_wells(), st.sampled_from([PLUS, MINUS]))
+@example(SusyParams(2.5, 3.2, 0, 1), PLUS)
+@example(SusyParams(2, 3, 0.5, 1), MINUS)
+@example(SusyParams(2e150, 3e150, 1e150, 1e150), PLUS)
+def test_ladder_bitwise_equals_stepped_superpotentials(p, branch):
+    for s, w in zip(two_series_spectrum(p, branch), dual_superpotentials(p, branch)):
+        ladder, energies = stepped_tower(w)
+        assert bits(s.ladder_params) == bits(ladder)
+        assert bits(s.energies) == bits(energies)
+
+
+@pytest.mark.parametrize("branch", [PLUS, MINUS])
+def test_first_rung_overflow_raises(branch):
+    with pytest.raises(ValueError, match="must be finite"):
+        two_series_spectrum(SusyParams(2e160, 3e160, 0.5e160, 1e160), branch)
+
+
+def test_level_budget():
+    # the deep well's longest tower, and a tower exactly at the budget
+    _, s2 = two_series_spectrum(SusyParams(50, 55, 0, 1))
+    assert len(s2.energies) == 55
+    s1, _ = two_series_spectrum(SusyParams(10_000, 3, 0, 1))
+    assert len(s1.energies) == 10_000
+    with pytest.raises(TowerTooLong, match="series1 would hold 10001 levels"):
+        two_series_spectrum(SusyParams(10_000.5, 3, 0, 1))
+    with pytest.raises(TowerTooLong, match="series2 would hold 100000000000000000 levels"):
+        two_series_spectrum(SusyParams(2, 1e17, 0, 1))
 
 
 def test_series_empty_when_no_bound_state():
