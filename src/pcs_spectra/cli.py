@@ -50,6 +50,10 @@ SCHEMA_VERSION = "1.0"
 _COMMANDS = ("analyze", "spectrum", "verify", "sl2", "bifurcation", "exchange")
 _CSV_COMMANDS = ("spectrum", "verify", "bifurcation")
 _CSV_HEADER = ("C", "branch", "series", "n", "re_E", "im_E", "residual")
+# largest bifurcation C grid, which is built whole before the sweep:
+# 10,000 steps of (2, 3) take 1.8 s and print 11 MB of JSON on a 2-vCPU
+# VM, and both grow linearly with the step count
+MAX_STEPS = 10_000
 
 
 class UsageError(Exception):
@@ -267,7 +271,6 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
     merged.update(given)
     if merged.keys() != _CONFIG_FIELDS.keys():
         raise UsageError("--A and --B are required (flags or config)")
-    _number("alpha", merged["alpha"], positive=True)
     _number("L", merged["L"], positive=True)
     _number("tol-match", merged["tol_match"], positive=True)
     if merged["tol_match"] > MAX_TOL_MATCH:
@@ -280,6 +283,8 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--N must be at least 3, got {merged['N']}")
     if merged["steps"] < 1:
         raise UsageError(f"--steps must be at least 1, got {merged['steps']}")
+    if merged["steps"] > MAX_STEPS:
+        raise UsageError(f"--steps must be at most {MAX_STEPS}, got {merged['steps']}")
     if merged["format"] not in ("json", "csv"):
         raise UsageError(f"--format must be json or csv, got {merged['format']!r}")
     if merged["format"] == "csv" and command not in _CSV_COMMANDS:

@@ -22,8 +22,11 @@ step if two census values polish to one state), polishes each census
 value below the threshold by inverse iteration on the fine grid, and
 certifies every result by its own residual and its boundary leak, so
 no state is found because the formulas predicted it, and states they
-do not predict are found too. A
-PT-symmetric well (V(-x) = V(x)*) gives an operator H with J H J =
+do not predict are found too. Every solve runs to its operator's
+certified_tol, DEFAULT_TOL or the matvec's rounding floor if larger,
+so a fine grid never chases a residual its arithmetic cannot reach.
+
+A PT-symmetric well (V(-x) = V(x)*) gives an operator H with J H J =
 conj(H), J the flip; the unitary Q = e^{-i pi/4} (I + i J) / sqrt(2)
 then makes Q^H H Q = Re H - (Im H) J real (Bender and Boettcher, PRL
 80, 5243, 1998; Mostafazadeh, J. Math. Phys. 43, 3944, 2002). For such
@@ -38,6 +41,7 @@ members, and the h/2 grid for the one refining solve per state.
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -183,14 +187,16 @@ class DiscretizedOperator:
         w[:-1] += self.offdiag * v[1:]
         return w
 
+    @functools.cached_property
     def certified_tol(self) -> float:
-        """Residual tolerance of every certified solve on this operator.
+        """Residual tolerance of every eigen_near solve on this operator.
 
         DEFAULT_TOL, floored at the rounding level of ||Hv - theta v||
         for a unit vector: the matvec works with entries of size
         2/dxi^2 over the well, so the residual of even an exact
         eigenpair cannot drop below about eps * ||H||. The floor is
-        above DEFAULT_TOL on every default grid.
+        above DEFAULT_TOL on every default grid. Computed once per
+        operator.
         """
         eps = float(np.finfo(np.float64).eps)
         off = float(np.abs(self.offdiag).max())
@@ -260,12 +266,7 @@ def _boundary_leak(op: DiscretizedOperator, y: np.ndarray) -> float:
     return float(amplitude[edge].max()) / float(amplitude.max())
 
 
-def eigen_near(
-    op: DiscretizedOperator,
-    shift: complex,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 60,
-) -> EigenResult:
+def eigen_near(op: DiscretizedOperator, shift: complex, max_iter: int = 60) -> EigenResult:
     """Eigenpair nearest the shift via complex shifted inverse iteration.
 
     Starts from a normalized linear ramp (deterministic, and with both
@@ -273,21 +274,21 @@ def eigen_near(
     from the iteration), solves tridiagonal systems with partially
     pivoted LU, and switches to Rayleigh-quotient updates after three
     sweeps. The Rayleigh estimate theta = v^H H v minimizes the
-    residual for the current vector, and the returned residual is
-    recomputed independently after the loop. A vector whose residual
-    is within tol can still hold components of order tol / gap along
-    its nearest neighbours, which for a level near the threshold are
-    box continuum reaching the walls; boundary_leak is therefore read
-    from one more sweep on the same factorization, which damps them,
-    so it measures the state rather than the stopping point.
+    residual ||Hv - theta v|| for the current vector; the iteration
+    stops, and returns that residual, once it is within
+    tol = op.certified_tol. A vector whose residual is within tol can
+    still hold components of order tol / gap along its nearest
+    neighbours, which for a level near the threshold are box continuum
+    reaching the walls; boundary_leak is therefore read from one more
+    sweep on the same factorization, which damps them, so it measures
+    the state rather than the stopping point.
 
     Raises:
         NoConvergence: residual stayed above tol for max_iter sweeps.
         SingularShift: the (possibly updated) shift hit an exact zero
             pivot twice even after perturbing it by tol.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = op.certified_tol
     d = op.diag
     n = d.size
     off = op.offdiag
@@ -344,9 +345,10 @@ def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> Eige
     coarse is a state converged on some grid, and fine_op must be the
     operator on that grid's refined() grid. One solve on fine_op from
     coarse.energy gives E_fine, and (4 E_fine - E_coarse) / 3 removes
-    the h^2 term. The solve runs to fine_op.certified_tol().
+    the h^2 term. Like every eigen_near solve, it runs to
+    fine_op.certified_tol.
     """
-    fine = eigen_near(fine_op, coarse.energy, fine_op.certified_tol())
+    fine = eigen_near(fine_op, coarse.energy)
     energy = (4.0 * fine.energy - coarse.energy) / 3.0
     return EigenResult(
         energy=energy,
@@ -408,7 +410,7 @@ def bound_spectrum(
     operator on the same box with real part below re_limit, less those
     above zero real part that decay too slowly across the box to pass
     the leak gate. Each shift is polished by inverse iteration on the
-    given grid, to the operator's certified_tol(), and eigenvalues
+    given grid, to the operator's certified_tol, and eigenvalues
     closer than 1e-6 are taken as the same state. The census resolves
     levels only to a few hundredths, so two close levels can merge into
     census values that polish to one state; when two values of the
@@ -430,14 +432,13 @@ def bound_spectrum(
             _MAX_CENSUS_POINTS points.
     """
     op = discretize(v, grid)
-    tol = op.certified_tol()
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
     accepted: list[EigenResult] = []
 
     def polish(shift: complex) -> int | None:
         # index in accepted of the state the shift converges to, if kept
         try:
-            res = eigen_near(op, shift, tol)
+            res = eigen_near(op, shift)
         except (NoConvergence, SingularShift) as exc:
             log.debug("shift %s: %s", shift, exc)
             return None

@@ -12,12 +12,12 @@ spectrum into a statement about unitary representations.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BranchSign, PotentialCoefficients, SusyParams, pcs_partner_coefficients
+from .core import _require_finite, _require_positive_alpha
 from .errors import DegenerateB
 
 __all__ = [
@@ -30,13 +30,6 @@ __all__ = [
 ]
 
 
-def _finite_complex(name: str, z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {z!r}")
-    return z
-
-
 @dataclass(frozen=True)
 class Sl2Params:
     """Algebraic labels (m, b): J_z eigenvalue and realization constant."""
@@ -46,10 +39,8 @@ class Sl2Params:
     alpha: float = 1.0
 
     def __post_init__(self):
-        _finite_complex("m", self.m)
-        _finite_complex("b", self.b)
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        _require_finite(m=complex(self.m), b=complex(self.b), alpha=self.alpha)
+        _require_positive_alpha(self.alpha)
 
 
 def build_sl2_potential(s: Sl2Params) -> PotentialCoefficients:
@@ -80,11 +71,6 @@ def correspondence_residuals(
     return np.array([dt2.real, dt2.imag, dst.real, dst.imag])
 
 
-def _profile_targets(p: SusyParams, branch: BranchSign) -> tuple[complex, complex]:
-    v = pcs_partner_coefficients(p, branch)
-    return v.t2, v.st
-
-
 def solve_m_given_b(
     b: complex, p: SusyParams, branch: BranchSign = BranchSign.PLUS
 ) -> complex:
@@ -101,7 +87,8 @@ def solve_m_given_b(
     with s the branch sign. Raises DegenerateB at b = 0, where the
     strength condition degenerates and m drops out entirely.
     """
-    b = _finite_complex("b", b)
+    b = complex(b)
+    _require_finite(b=b)
     if b == 0:
         raise DegenerateB("m is undetermined at b = 0: the sech tanh term vanishes")
     sgn = float(branch.sign)
@@ -128,8 +115,9 @@ def m_square_identities(
     Useful as an independent check on any (m, b) candidate: both must
     agree with m from solve_m_given_b squared.
     """
-    b = _finite_complex("b", b)
-    t2, _ = _profile_targets(p, branch)
+    b = complex(b)
+    _require_finite(b=b)
+    t2 = pcs_partner_coefficients(p, branch).t2
     a2 = p.alpha * p.alpha
     re_m2 = 0.25 + (b.real * b.real - b.imag * b.imag - t2.real) / a2
     half_im_m2 = (b.real * b.imag - 0.5 * t2.imag) / a2
@@ -164,8 +152,8 @@ def _quartic_roots_y(t2: complex, st: complex, alpha: float) -> list[complex]:
 
 
 def _closed_form_pairs(p: SusyParams, branch: BranchSign) -> list[tuple[complex, complex]]:
-    t2, st = _profile_targets(p, branch)
-    a = p.alpha
+    v = pcs_partner_coefficients(p, branch)
+    t2, st, a = v.t2, v.st, p.alpha
     pairs: list[tuple[complex, complex]] = []
     for y in _quartic_roots_y(t2, st, a):
         b = cmath.sqrt(y)

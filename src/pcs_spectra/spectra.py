@@ -18,7 +18,6 @@ from .errors import LadderExhausted, TowerTooLong
 __all__ = [
     "SpectrumSeries",
     "BifurcationPoint",
-    "BrokenSpectrum",
     "shape_invariance_step",
     "two_series_spectrum",
     "broken_spectrum",
@@ -36,28 +35,18 @@ def energy_sort_key(e: complex):
 class SpectrumSeries:
     """One tower of levels generated by a single superpotential.
 
-    ladder_params holds the (lam_n, mu_n) walked by the ladder, one pair
-    per emitted level; energies[n] = -lam_n^2. factorization_energy is
-    -lam_0^2 whether or not the tower is empty.
+    energies[n] = -lam_n^2 with lam_n = lam_0 - n alpha, one per rung
+    with Re(lam_n) > 0. factorization_energy is -lam_0^2 whether or not
+    the tower is empty.
     """
 
     label: str
-    branch: BranchSign
-    ladder_params: tuple[tuple[complex, complex], ...]
     energies: tuple[complex, ...]
     factorization_energy: complex
 
     @property
     def is_empty(self) -> bool:
         return not self.energies
-
-
-@dataclass(frozen=True)
-class BrokenSpectrum:
-    """Tower pairs for both branches at C != 0."""
-
-    plus: tuple[SpectrumSeries, SpectrumSeries]
-    minus: tuple[SpectrumSeries, SpectrumSeries]
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ def shape_invariance_step(w: Superpotential):
 _MAX_TOWER_LEVELS = 10_000
 
 
-def _walk_ladder(w: Superpotential, label: str, branch: BranchSign) -> SpectrumSeries:
+def _walk_ladder(w: Superpotential, label: str) -> SpectrumSeries:
     # Emit -lam_n^2 while Re(lam_n) > 0; the strict inequality is the
     # normalizability condition for the rung's zero mode, validated
     # against the numerical solver rather than postulated. The rungs are
@@ -130,18 +119,14 @@ def _walk_ladder(w: Superpotential, label: str, branch: BranchSign) -> SpectrumS
             f"{label} would hold {count} levels (Re(lam) = {lam.real}, alpha = {alpha}), "
             f"over the level budget of {_MAX_TOWER_LEVELS}"
         )
-    ladder: list[tuple[complex, complex]] = []
     energies: list[complex] = []
     while lam.real > 0.0:
-        ladder.append((lam, w.mu))
         energies.append(-(lam * lam))
         if lam.real < alpha:
             break
         lam = lam - alpha
     return SpectrumSeries(
         label=label,
-        branch=branch,
-        ladder_params=tuple(ladder),
         energies=tuple(energies),
         factorization_energy=w.factorization_energy,
     )
@@ -166,13 +151,11 @@ def two_series_spectrum(p, branch: BranchSign = BranchSign.PLUS):
             i.e. Re(lam_0) / alpha exceeds that level budget.
     """
     w, w_exchanged = dual_superpotentials(p, branch)
-    s1 = _walk_ladder(w, "series1", branch)
-    s2 = _walk_ladder(w_exchanged, "series2", branch)
-    return s1, s2
+    return _walk_ladder(w, "series1"), _walk_ladder(w_exchanged, "series2")
 
 
-def broken_spectrum(p: SusyParams) -> BrokenSpectrum:
-    """Both-branch towers for C != 0.
+def broken_spectrum(p: SusyParams) -> BifurcationPoint:
+    """Both-branch towers for C != 0, as the scan's point at p.C.
 
     The two branches are PT images of each other, so the minus-branch
     energies are the complex conjugates of the plus-branch energies
@@ -181,7 +164,8 @@ def broken_spectrum(p: SusyParams) -> BrokenSpectrum:
     """
     if p.C == 0.0:
         raise ValueError("broken_spectrum requires C != 0; use two_series_spectrum")
-    return BrokenSpectrum(
+    return BifurcationPoint(
+        C=p.C,
         plus=two_series_spectrum(p, BranchSign.PLUS),
         minus=two_series_spectrum(p, BranchSign.MINUS),
     )
@@ -208,6 +192,5 @@ def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
             towers = two_series_spectrum(q, BranchSign.PLUS)
             points.append(BifurcationPoint(C=q.C, plus=towers, minus=towers))
         else:
-            bs = broken_spectrum(q)
-            points.append(BifurcationPoint(C=q.C, plus=bs.plus, minus=bs.minus))
+            points.append(broken_spectrum(q))
     return points

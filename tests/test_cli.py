@@ -324,6 +324,24 @@ class TestUsageErrors:
         assert run(["bifurcation", *A23, "--verify-at", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_steps_above_budget(self, capsys, tmp_path):
+        # the C grid is allocated whole before the sweep, so flag and
+        # config are both capped at cli.MAX_STEPS
+        assert run(["bifurcation", *A23, "--steps", "10001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --steps must be at most 10000, got 10001\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"steps": 10001}')
+        assert run(["bifurcation", *A23, "--config", str(cfg)]) == 2
+        assert "--steps must be at most 10000" in capsys.readouterr().err
+        start = time.perf_counter()
+        assert run(["bifurcation", *A23, "--steps", "1000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "got 1000000000" in capsys.readouterr().err
+        args = build_parser().parse_args(["bifurcation", *A23, "--steps", "10000"])
+        assert assemble_config(args).steps == cli.MAX_STEPS
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

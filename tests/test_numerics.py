@@ -22,6 +22,7 @@ from pcs_spectra import (
     eigen_near,
     pcs_partner_coefficients,
     refine_eigenvalue,
+    two_series_spectrum,
     verify_spectrum,
 )
 from pcs_spectra import numerics
@@ -210,12 +211,14 @@ class TestEigenNear:
         assert min(abs(eigs - res.energy)) <= 1e-8
 
     def test_no_convergence_carries_context(self):
+        # from -4.0 this solve converges on its fourth sweep, so three
+        # sweeps fall short
         op = discretize(POSCHL_TELLER_3, Grid(L=12.0, N=300))
         with pytest.raises(NoConvergence) as exc:
-            eigen_near(op, -4.0, tol=1e-18, max_iter=4)
+            eigen_near(op, -4.0, max_iter=3)
         err = exc.value
-        assert err.iterations == 4
-        assert err.residual > 0
+        assert err.iterations == 3
+        assert err.residual > op.certified_tol
 
     def test_complex_well_eigenvalue(self):
         # broken-phase well has genuinely complex bound energies
@@ -224,10 +227,19 @@ class TestEigenNear:
         res = eigen_near(op, -3.75 - 2.0j)
         assert res.energy == pytest.approx(-3.75 - 2j, abs=2e-5)
 
-    def test_rejects_nonpositive_tol(self):
-        op = discretize(POSCHL_TELLER_3, Grid(L=12.0, N=300))
-        with pytest.raises(ValueError):
-            eigen_near(op, -4.0, tol=0.0)
+    @pytest.mark.parametrize(
+        "p", [SusyParams(2, 3, 0, 1), SusyParams(2, 3, 1, 1), SusyParams(1, 0, 0, 1)]
+    )
+    def test_converges_on_twice_refined_default_grid(self, p):
+        # N = 16,003: the matvec's rounding floor, 8.6e-9, is above
+        # DEFAULT_TOL, so a solve held to DEFAULT_TOL could never stop
+        op = discretize(pcs_partner_coefficients(p, PLUS), default_grid().refined().refined())
+        assert op.certified_tol > 1e-9
+        for series in two_series_spectrum(p):
+            for e in series.energies:
+                res = eigen_near(op, e)
+                assert res.residual <= op.certified_tol
+                assert res.iterations <= 6
 
 
 class TestRefine:
