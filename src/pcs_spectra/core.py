@@ -13,8 +13,8 @@ with lam, mu complex in general. Everything in this module is exact
 coefficient algebra on the (sech^2, sech tanh, const) representation of
 such potentials; no discretization happens here.
 
-All types are immutable values and all operations are pure functions,
-so the module is safe to call from any number of workers concurrently.
+All types are immutable values and all operations are pure functions
+of their arguments.
 """
 
 from __future__ import annotations
@@ -249,6 +249,12 @@ def complexify(p: SusyParams, branch: BranchSign) -> ComplexSusyParams:
     )
 
 
+def _partner(lam, mu, signed_alpha, alpha) -> PotentialCoefficients:
+    t2 = -(lam * (lam + signed_alpha) + mu * mu)
+    st = 1j * mu * (2.0 * lam + signed_alpha)
+    return PotentialCoefficients(t2=t2, st=st, e0=lam * lam, alpha=alpha)
+
+
 def partner_potentials(w: Superpotential):
     """Partner potentials (V_minus, V_plus) = W^2 -/+ dW/dx.
 
@@ -261,20 +267,8 @@ def partner_potentials(w: Superpotential):
     The pointwise agreement of these coefficients with W(x)^2 +/- W'(x)
     is property-tested rather than assumed.
     """
-    lam, mu, a = w.lam, w.mu, w.alpha
-    vminus = PotentialCoefficients(
-        t2=-(lam * (lam + a) + mu * mu),
-        st=1j * mu * (2.0 * lam + a),
-        e0=lam * lam,
-        alpha=a,
-    )
-    vplus = PotentialCoefficients(
-        t2=-(lam * (lam - a) + mu * mu),
-        st=1j * mu * (2.0 * lam - a),
-        e0=lam * lam,
-        alpha=a,
-    )
-    return vminus, vplus
+    a = w.alpha
+    return _partner(w.lam, w.mu, a, a), _partner(w.lam, w.mu, -a, a)
 
 
 def pcs_partner_coefficients(p: SusyParams, branch: BranchSign) -> PotentialCoefficients:
@@ -319,23 +313,31 @@ def pt_constraint_check(p: SusyParams, tol: float = TOL_CONSTRAINT) -> PtConstra
     )
 
 
+def _exchange(a, b, alpha):
+    # the coupling exchange; exchange_map says what it keeps
+    half = 0.5 * alpha
+    return b - half, a + half
+
+
 def exchange_map(p):
     """Swap the roles of the two tower parameters.
 
     (A, B) -> (B - alpha/2, A + alpha/2), with C and alpha unchanged;
-    the same map acts on a complexified pair. V_minus keeps its shape
-    coefficients (t2, st) under this map and only the constant offset
-    moves, which is the algebraic reason the well carries two towers of
-    levels. The map is an involution; in float arithmetic that holds
-    bit-exactly whenever the half-step additions round cleanly (dyadic
-    parameters), and to a rounding error otherwise.
+    the same map acts on a complexified pair, whose V_minus keeps its
+    shape coefficients (t2, st) while only the constant offset moves:
+    the algebraic reason the well carries two towers of levels. A real
+    image keeps C, so for C != 0 its V_minus has the profile of p on
+    the other branch; (B - alpha/2, A + alpha/2, -C) keeps it on the
+    same branch. The map is an involution; in float arithmetic that
+    holds bit-exactly whenever the half-step additions round cleanly
+    (dyadic parameters), and to a rounding error otherwise.
     """
     if isinstance(p, SusyParams):
-        half = 0.5 * p.alpha
-        return SusyParams(A=p.B - half, B=p.A + half, C=p.C, alpha=p.alpha)
+        A, B = _exchange(p.A, p.B, p.alpha)
+        return SusyParams(A=A, B=B, C=p.C, alpha=p.alpha)
     if isinstance(p, ComplexSusyParams):
-        half = 0.5 * p.alpha
-        return ComplexSusyParams(calA=p.calB - half, calB=p.calA + half, alpha=p.alpha)
+        calA, calB = _exchange(p.calA, p.calB, p.alpha)
+        return ComplexSusyParams(calA=calA, calB=calB, alpha=p.alpha)
     raise TypeError(f"exchange_map expects SusyParams or ComplexSusyParams, got {type(p)!r}")
 
 
@@ -354,16 +356,12 @@ def dual_superpotentials(p, branch: BranchSign = BranchSign.PLUS):
     cp = complexify(p, branch) if isinstance(p, SusyParams) else p
     if not isinstance(cp, ComplexSusyParams):
         raise TypeError(f"expected SusyParams or ComplexSusyParams, got {type(p)!r}")
-    half = 0.5 * cp.alpha
-    lam1, mu1 = cp.calA, cp.calB
-    lam2, mu2 = cp.calB - half, cp.calA + half
-    w = Superpotential(
-        lam=lam1, mu=mu1, alpha=cp.alpha, factorization_energy=-(lam1 * lam1)
+    lam, mu = cp.calA, cp.calB
+    lam_x, mu_x = _exchange(lam, mu, cp.alpha)
+    return (
+        Superpotential(lam=lam, mu=mu, alpha=cp.alpha, factorization_energy=-(lam * lam)),
+        Superpotential(lam=lam_x, mu=mu_x, alpha=cp.alpha, factorization_energy=-(lam_x * lam_x)),
     )
-    w_exchanged = Superpotential(
-        lam=lam2, mu=mu2, alpha=cp.alpha, factorization_energy=-(lam2 * lam2)
-    )
-    return w, w_exchanged
 
 
 def susy_to_physical(p: SusyParams) -> PcsPhysicalParams:

@@ -114,7 +114,7 @@ class Grid:
     The operator places the nodes uniformly in xi = a asinh(x/a), with
     a = 4/alpha set by the well (see discretize), so they are nearly
     uniform over the well and sparse along the tails. h = 2L/(N+1) is
-    the spacing of N uniform points on the box, and refined() halves
+    the spacing N uniform nodes would have on the box; refined() halves
     both h and the xi step exactly.
     """
 
@@ -140,13 +140,6 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.L / (self.N + 1)
 
-    def points(self) -> np.ndarray:
-        """N uniform points on (-L, L), spacing h."""
-        # x_j = (j - (N-1)/2) h is algebraically -L + (j+1) h but is
-        # exactly antisymmetric in floats, so parity tests on the grid
-        # hold to the bit.
-        return (np.arange(self.N) - 0.5 * (self.N - 1)) * self.h
-
     def refined(self) -> "Grid":
         """Grid with h exactly halved (N -> 2N + 1)."""
         return Grid(L=self.L, N=2 * self.N + 1)
@@ -156,11 +149,19 @@ def default_grid(alpha: float = 1.0) -> Grid:
     return Grid(L=DEFAULT_HALF_WIDTH / alpha, N=DEFAULT_POINTS)
 
 
-def _xi_grid(grid: Grid, alpha: float) -> Grid:
-    # the uniform grid in xi whose image under x = a sinh(xi / a) holds
-    # grid's nodes; its h is the xi step
+def _xi_max(L: float, alpha: float) -> float:
+    # the wall at x = L in xi = a asinh(x / a)
     a = _STRETCH / alpha
-    return Grid(L=a * math.asinh(grid.L / a), N=grid.N)
+    return a * math.asinh(L / a)
+
+
+def _xi_step(grid: Grid, alpha: float) -> float:
+    return 2.0 * _xi_max(grid.L, alpha) / (grid.N + 1)
+
+
+def _points(L: float, alpha: float, dxi: float) -> int:
+    # interior nodes of the box (-L, L) at xi step at most dxi
+    return int(math.ceil(2.0 * _xi_max(L, alpha) / dxi)) - 1
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,8 @@ class DiscretizedOperator:
 class EigenResult:
     """One certified eigenpair summary.
 
-    residual is ||H psi - E psi|| for the normalized eigenvector,
-    recomputed after convergence. boundary_leak is the largest
+    residual is ||H psi - E psi|| for the normalized eigenvector, the
+    value the stopping test read. boundary_leak is the largest
     wavefunction amplitude on the outer five percent of the box
     (|x| >= 0.95 L) over its global maximum; a genuinely bound,
     well-contained state leaves essentially nothing there. iterations
@@ -228,12 +229,13 @@ def _mapped_operator(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperato
     # spacings h_i = x_{i+1} - x_i from wall to wall and weights
     # w_i = (h_{i-1} + h_i) / 2. Scaling row and column i by sqrt(w_i)
     # makes it complex symmetric: 2/(h_{i-1} h_i) on the diagonal and
-    # -1/(h_i sqrt(w_i w_{i+1})) beside it. The xi nodes are exactly
-    # antisymmetric and every entry is a commutative product of mirror
-    # spacings, so a parity-symmetric well gives a mirror-symmetric
-    # matrix to the bit.
+    # -1/(h_i sqrt(w_i w_{i+1})) beside it. xi_j = (j - (N-1)/2) dxi is
+    # exactly antisymmetric in floats and every entry is a commutative
+    # product of mirror spacings, so a parity-symmetric well gives a
+    # mirror-symmetric matrix to the bit.
     a = _STRETCH / v.alpha
-    x = a * np.sinh(_xi_grid(grid, v.alpha).points() / a)
+    xi = (np.arange(grid.N) - 0.5 * (grid.N - 1)) * _xi_step(grid, v.alpha)
+    x = a * np.sinh(xi / a)
     step = np.diff(x, prepend=-grid.L, append=grid.L)
     lo, hi = step[:-1], step[1:]
     weights = 0.5 * (lo + hi)
@@ -368,8 +370,7 @@ def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[com
     # cost more points than grid itself.
     v_max = abs(v.t2) + 0.5 * abs(v.st)
     dxi = 0.5 / math.sqrt(v_max + v.alpha * v.alpha) / 2**halvings
-    xi_max = _xi_grid(grid, v.alpha).L
-    n = min(grid.N, max(3, int(math.ceil(2.0 * xi_max / dxi)) - 1))
+    n = min(grid.N, max(3, _points(grid.L, v.alpha, dxi)))
     if n > _MAX_CENSUS_POINTS:
         raise DomainTooSmall(
             f"the census of this well on L = {grid.L} needs n = {n} points, "
@@ -571,10 +572,7 @@ def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
         return base
     # keep the xi step of the base grid while growing the box: N grows
     # like log(need), not like need
-    dxi = _xi_grid(base, alpha).h
-    xi_max = _xi_grid(Grid(L=need, N=base.N), alpha).L
-    n = int(math.ceil(2.0 * xi_max / dxi)) - 1
-    return Grid(L=need, N=n)
+    return Grid(L=need, N=_points(need, alpha, _xi_step(base, alpha)))
 
 
 def _greedy_match(levels, numeric, radius):
@@ -644,12 +642,8 @@ def verify_spectrum(
     base = grid if grid is not None else default_grid(p.alpha)
     levels = _analytic_levels(p, branch)
     v = pcs_partner_coefficients(p, branch)
-    if levels:
-        geff = _auto_grid(base, levels, p.alpha) if auto_domain else base
-        re_limit = max(0.0, max(lv.energy.real for lv in levels) + 0.1)
-    else:
-        geff = base
-        re_limit = 0.0
+    geff = _auto_grid(base, levels, p.alpha) if auto_domain and levels else base
+    re_limit = max([0.0] + [lv.energy.real + 0.1 for lv in levels])
 
     raw = bound_spectrum(v, geff, re_limit=re_limit)
     fine_op = discretize(v, geff.refined())

@@ -12,6 +12,7 @@ spectrum into a statement about unitary representations.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +44,19 @@ class Sl2Params:
         _require_positive_alpha(self.alpha)
 
 
+def _profile(m, b, alpha):
+    # (t2, st) carried by the m-eigenspace
+    return b * b + alpha * alpha * (0.25 - m * m), -2.0 * alpha * m * b
+
+
 def build_sl2_potential(s: Sl2Params) -> PotentialCoefficients:
     """Potential carried by the m-eigenspace of the algebraic family.
 
     t2 = b^2 + alpha^2 (1/4 - m^2), st = -2 alpha m b, with no constant
     offset: the algebraic route fixes energies relative to zero.
     """
-    a = s.alpha
-    t2 = s.b * s.b + a * a * (0.25 - s.m * s.m)
-    st = -2.0 * a * s.m * s.b
-    return PotentialCoefficients(t2=t2, st=st, e0=0j, alpha=a)
+    t2, st = _profile(s.m, s.b, s.alpha)
+    return PotentialCoefficients(t2=t2, st=st, e0=0j, alpha=s.alpha)
 
 
 def correspondence_residuals(
@@ -125,9 +129,8 @@ def m_square_identities(
 
 
 def _pair_residual(m: complex, b: complex, t2: complex, st: complex, alpha: float) -> float:
-    r1 = b * b + alpha * alpha * (0.25 - m * m) - t2
-    r2 = -2.0 * alpha * m * b - st
-    return max(abs(r1), abs(r2))
+    t2_m, st_m = _profile(m, b, alpha)
+    return max(abs(t2_m - t2), abs(st_m - st))
 
 
 def _quartic_roots_y(t2: complex, st: complex, alpha: float) -> list[complex]:
@@ -146,14 +149,21 @@ def _quartic_roots_y(t2: complex, st: complex, alpha: float) -> list[complex]:
     if y1 != 0:
         roots.append(y1)
         y2 = q / y1
-        if y2 != 0 and abs(y2 - y1) > 1e-14 * max(1.0, abs(y1)):
+        if y2 != 0 and abs(y2 - y1) > 1e-14 * abs(y1):
             roots.append(y2)
     return roots
 
 
+def _ldexp(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
 def _closed_form_pairs(p: SusyParams, branch: BranchSign) -> list[tuple[complex, complex]]:
     v = pcs_partner_coefficients(p, branch)
-    t2, st, a = v.t2, v.st, p.alpha
+    # solve in units of alpha rounded to a power of two, 2^k, exactly:
+    # m is unchanged, b scales by 2^k, and no square over- or underflows
+    k = math.frexp(p.alpha)[1]
+    t2, st, a = _ldexp(v.t2, -2 * k), _ldexp(v.st, -2 * k), math.ldexp(p.alpha, -k)
     pairs: list[tuple[complex, complex]] = []
     for y in _quartic_roots_y(t2, st, a):
         b = cmath.sqrt(y)
@@ -164,8 +174,8 @@ def _closed_form_pairs(p: SusyParams, branch: BranchSign) -> list[tuple[complex,
         # other member is this one negated to the bit
         m = -st / (2.0 * a * b)
         if _pair_residual(m, b, t2, st, a) > 1e-12:
-            m, b, _ = _polish(m, b, t2, st, a)
-        pairs.append((m, b))
+            m, b = _polish(m, b, t2, st, a)
+        pairs.append((m, _ldexp(b, k)))
     if not pairs:
         raise DegenerateB(
             "every matching root has b = 0; the correspondence degenerates here"
@@ -177,8 +187,8 @@ def _polish(m, b, t2, st, alpha, steps: int = 2):
     # one or two Newton steps on the 2x2 complex system; cheap insurance
     # against the square root losing half the digits near double roots
     for _ in range(steps):
-        f1 = b * b + alpha * alpha * (0.25 - m * m) - t2
-        f2 = -2.0 * alpha * m * b - st
+        t2_m, st_m = _profile(m, b, alpha)
+        f1, f2 = t2_m - t2, st_m - st
         # jacobian [[-2 a^2 m, 2 b], [-2 a b, -2 a m]]
         j11 = -2.0 * alpha * alpha * m
         j12 = 2.0 * b
@@ -190,27 +200,19 @@ def _polish(m, b, t2, st, alpha, steps: int = 2):
         dm = (f1 * j22 - f2 * j12) / det
         db = (f2 * j11 - f1 * j21) / det
         m, b = m - dm, b - db
-    return m, b, _pair_residual(m, b, t2, st, alpha)
+    return m, b
 
 
 def _canonical(pairs):
     # each orbit's representative has principal-branch b; clamp rounding
-    # dust before picking the sign so all but the true sign of b
-    # decides, not a 1e-17 real part on a purely imaginary root. Orbits
-    # of two b^2 roots closer than 1e-8 are listed once.
+    # dust before picking the sign so the true sign of b decides, not a
+    # 1e-17 real part on a purely imaginary root
     seen: list[tuple[complex, complex]] = []
     for m, b in pairs:
         scale = abs(b)
         br = 0.0 if abs(b.real) <= 1e-12 * scale else b.real
         bi = 0.0 if abs(b.imag) <= 1e-12 * scale else b.imag
-        rep = (m, b)
-        if (br, bi) < (0.0, 0.0):
-            rep = (-m, -b)
-        for sm, sb in seen:
-            if abs(sm - rep[0]) < 1e-8 and abs(sb - rep[1]) < 1e-8:
-                break
-        else:
-            seen.append(rep)
+        seen.append((-m, -b) if (br, bi) < (0.0, 0.0) else (m, b))
     seen.sort(key=lambda pr: (
         (pr[1] * pr[1]).real,
         (pr[1] * pr[1]).imag,

@@ -164,11 +164,7 @@ def broken_spectrum(p: SusyParams) -> BifurcationPoint:
     """
     if p.C == 0.0:
         raise ValueError("broken_spectrum requires C != 0; use two_series_spectrum")
-    return BifurcationPoint(
-        C=p.C,
-        plus=two_series_spectrum(p, BranchSign.PLUS),
-        minus=two_series_spectrum(p, BranchSign.MINUS),
-    )
+    return bifurcation_scan(p, [p.C])[0]
 
 
 def _branch_energies(towers) -> tuple[complex, ...]:
@@ -188,9 +184,8 @@ def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
     points: list[BifurcationPoint] = []
     for c in c_grid:
         q = replace(p0, C=float(c))
-        if q.C == 0.0:
-            towers = two_series_spectrum(q, BranchSign.PLUS)
-            points.append(BifurcationPoint(C=q.C, plus=towers, minus=towers))
-        else:
-            points.append(broken_spectrum(q))
+        plus = two_series_spectrum(q, BranchSign.PLUS)
+        # at C = 0 minus would differ only in the signs of zero Im parts
+        minus = plus if q.C == 0.0 else two_series_spectrum(q, BranchSign.MINUS)
+        points.append(BifurcationPoint(C=q.C, plus=plus, minus=minus))
     return points

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -81,6 +82,17 @@ class TestVerify:
         assert d["summary"].startswith("6 matched")
         assert d["max_abs_err"] <= 1e-6
         assert len(d["matches"]) == 6
+
+    def test_well_without_bound_states_passes_empty(self, capsys):
+        # no level to place: the base grid stands and the search stops at
+        # the continuum threshold
+        code, d = run_json(capsys, ["verify", "--A", "-1", "--B", "0.2"])
+        assert code == 0
+        assert d["passed"] is True
+        assert d["summary"] == "0 matched, max |dE| = 0.000e+00"
+        assert d["grid"] == {"L": 12.0, "N": 4000, "base_L": 12.0, "base_N": 4000}
+        assert d["re_limit"] == 0.0
+        assert d["matches"] == d["unmatched_analytic"] == d["unmatched_numeric"] == []
 
     def test_fail_exit_one(self, capsys):
         code, d = run_json(
@@ -272,6 +284,42 @@ class TestBifurcation:
         assert checks[0]["plus"]["passed"] and checks[0]["minus"]["passed"]
         assert checks[0]["numeric_conjugacy_err"] <= 1e-6
 
+    def test_verify_at_fail_exit_one(self, capsys):
+        argv = ["bifurcation", *A23, "--steps", "2", "--verify-at", "0", "--tol-match", "1e-14"]
+        code, d = run_json(capsys, argv)
+        assert code == 1
+        [check] = d["verifications"]
+        assert check["plus"]["passed"] is False and check["minus"]["passed"] is False
+
+    def test_repeated_verify_at_verified_once(self, capsys, monkeypatch):
+        original = cli.verify_spectrum
+        calls = []
+
+        def counted(p, *args, **kwargs):
+            calls.append(p.C)
+            return original(p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_spectrum", counted)
+        argv = ["bifurcation", *A23, "--steps", "2"]
+        _, scan_rows = run_csv(capsys, argv)
+        code, one = run_json(capsys, argv + ["--verify-at", "1"])
+        _, one_rows = run_csv(capsys, argv + ["--verify-at", "1"])
+        calls.clear()
+        code20, twenty = run_json(capsys, argv + ["--verify-at", "1"] * 20)
+        assert calls == [1.0, 1.0]
+        _, twenty_rows = run_csv(capsys, argv + ["--verify-at", "1"] * 20)
+        # the same bytes as verifying each copy anew
+        assert code20 == code == 0
+        assert twenty.pop("verifications") == one.pop("verifications") * 20
+        assert twenty == one
+        assert twenty_rows == scan_rows + one_rows[len(scan_rows):] * 20
+        # -0.0 and 0.0 are different values and are verified apart
+        calls.clear()
+        zeros = ["--verify-at", "0", "--verify-at", "-0.0", "--verify-at", "0"]
+        _, d = run_json(capsys, argv + zeros)
+        assert [math.copysign(1.0, c) for c in calls] == [1.0, 1.0, -1.0, -1.0]
+        assert [math.copysign(1.0, v["C"]) for v in d["verifications"]] == [1.0, -1.0, 1.0]
+
 
 class TestUsageErrors:
     def test_missing_required_params(self, capsys):
@@ -342,6 +390,20 @@ class TestUsageErrors:
         args = build_parser().parse_args(["bifurcation", *A23, "--steps", "10000"])
         assert assemble_config(args).steps == cli.MAX_STEPS
 
+    def test_verify_at_above_budget(self, capsys, tmp_path):
+        start = time.perf_counter()
+        assert run(["bifurcation", *A23, *["--verify-at", "1"] * 101]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --verify-at takes at most 100 values, got 101\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verify_at": [1.0] * 101}))
+        assert run(["bifurcation", *A23, "--config", str(cfg)]) == 2
+        assert "--verify-at takes at most 100 values, got 101" in capsys.readouterr().err
+        args = build_parser().parse_args(["bifurcation", *A23, *["--verify-at", "1"] * 100])
+        assert len(assemble_config(args).verify_at) == cli.MAX_VERIFY_AT
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
@@ -388,6 +450,29 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"N": 12.5}))
         assert run(["verify", "--A", "2", "--B", "3", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config {path!r} must hold a JSON object"),
+            ("{bad", "config {path!r} is not valid JSON: Expecting property name enclosed "
+             "in double quotes: line 1 column 2 (char 1)"),
+            ('{"params": 3}', "config field 'params' must be an object"),
+            ('{"params": {"D": 1}}', "unknown config field params.D"),
+            ('{"verify_at": 1}', "config field 'verify_at' must be a list of numbers, got 1"),
+            ('{"verify_at": [true]}', "config field 'verify_at' must contain only numbers"),
+            ('{"format": "xml"}', "--format must be json or csv, got 'xml'"),
+        ],
+        ids=["list", "not-json", "params-number", "params-key", "verify-at-number",
+             "verify-at-bool", "format"],
+    )
+    def test_malformed_config_exit_two(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["bifurcation", *A23, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.format(path=str(cfg)) + "\n"
 
     def test_every_key_lands_in_run_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -227,6 +227,27 @@ class TestExchange:
             assert abs(v1.t2 - v2.t2) <= 1e-14 * max(1.0, abs(v1.t2))
             assert abs(v1.st - v2.st) <= 1e-14 * max(1.0, abs(v1.st))
 
+    @settings(max_examples=200)
+    @given(box_params(), st.sampled_from([PLUS, MINUS]))
+    def test_real_image_profile(self, p, br):
+        # exchange_map keeps C, so its image carries p's (t2, st) on the
+        # other branch; negating C too keeps them on the same branch
+        v = pcs_partner_coefficients(p, br)
+        q = exchange_map(p)
+        other = MINUS if br is PLUS else PLUS
+        for image in (
+            pcs_partner_coefficients(q, other),
+            pcs_partner_coefficients(SusyParams(q.A, q.B, -q.C, q.alpha), br),
+        ):
+            assert abs(image.t2 - v.t2) <= 1e-14 * max(1.0, abs(v.t2))
+            assert abs(image.st - v.st) <= 1e-14 * max(1.0, abs(v.st))
+
+    def test_real_image_moves_profile_on_same_branch(self):
+        p = SusyParams(2, 3, 0.5, 1)
+        v = pcs_partner_coefficients(p, PLUS)
+        image = pcs_partner_coefficients(exchange_map(p), PLUS)
+        assert abs(image.t2 - v.t2) == abs(image.st - v.st) == 1.0
+
     def test_exchange_map_rejects_other_types(self):
         with pytest.raises(TypeError):
             exchange_map((2.0, 3.0))

@@ -38,11 +38,6 @@ class TestGrid:
         g = Grid(L=12.0, N=3999)
         assert g.h == pytest.approx(24.0 / 4000)
 
-    def test_points_exactly_antisymmetric(self):
-        for n in (400, 401):
-            x = Grid(L=7.0, N=n).points()
-            assert np.all(x == -x[::-1])
-
     def test_refined_halves_spacing_exactly(self):
         g = Grid(L=12.0, N=4000)
         assert g.refined().h == g.h / 2
@@ -52,10 +47,10 @@ class TestGrid:
         # must halve exactly, and every coarse node must be a fine node
         g = Grid(L=42.0, N=6703)
         for alpha in (0.5, 1.0, 2.0):
-            xi = numerics._xi_grid(g, alpha)
-            fine = numerics._xi_grid(g.refined(), alpha)
-            assert fine.h == xi.h / 2
-            assert np.array_equal(fine.points()[1::2], xi.points())
+            assert numerics._xi_step(g.refined(), alpha) == numerics._xi_step(g, alpha) / 2
+            v = pcs_partner_coefficients(SusyParams(2, 3, 0, alpha), PLUS)
+            fine = discretize(v, g.refined())
+            assert np.array_equal(fine.nodes[1::2], discretize(v, g).nodes)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,7 +64,7 @@ class TestGrid:
 
 
 class TestMappedOperator:
-    @pytest.mark.parametrize("n", [401, 6703])
+    @pytest.mark.parametrize("n", [400, 401, 6703])
     def test_pt_symmetric_well_is_mirror_symmetric(self, n):
         # V(-x) = V(x)* on a C = 0 well: the nodes, the weights and the
         # couplings mirror exactly, and the diagonal mirrors to its
@@ -329,8 +324,8 @@ class TestVerifySpectrum:
         # auto-domain grew the box for the kappa = 0.5 state but kept
         # the xi step, so N grew by far less than L did
         assert rep.grid.L > rep.base_grid.L
-        step = numerics._xi_grid(rep.grid, 1.0).h
-        assert step == pytest.approx(numerics._xi_grid(rep.base_grid, 1.0).h, rel=1e-3)
+        step = numerics._xi_step(rep.grid, 1.0)
+        assert step == pytest.approx(numerics._xi_step(rep.base_grid, 1.0), rel=1e-3)
         assert rep.grid.N / rep.base_grid.N < rep.grid.L / rep.base_grid.L
 
     def test_deterministic(self):

@@ -1,7 +1,11 @@
 """Algebraic (m, b) labels versus the factorization coefficients."""
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pcs_spectra import (
     BranchSign,
@@ -148,6 +152,29 @@ def test_newton_oracle_lands_on_closed_form_orbits():
                     for cm, cb in closed
                     for s in (1, -1)
                 ), (p, br, m, b, closed)
+
+
+@settings(max_examples=200)
+@given(
+    st.floats(0.5, 3.5), st.floats(0.5, 3.5), st.floats(-1.5, 1.5), st.floats(0.5, 2.0),
+    st.integers(-150, 150), st.sampled_from([PLUS, MINUS]),
+)
+@example(2.0, 3.0, 0.5, 1.0, -20, PLUS)
+@example(2.0, 3.0, 0.5, 1.0, -100, MINUS)
+def test_labels_scale_covariant(A, B, C, alpha, k, branch):
+    # scaling A, B, C and alpha by s maps each (m, b) to (m, s b). The
+    # two b^2 roots lie |A + alpha/2 - B + 2iC| (A + alpha/2 + B) apart,
+    # so off the exchange-degenerate family (C = 0, B = A + alpha/2,
+    # where they coincide) the rounding of A s cannot merge or split
+    # an orbit
+    assume(abs(complex(A + 0.5 * alpha - B, 2.0 * C)) > 1e-3)
+    s = 10.0**k
+    want = solve_correspondence(SusyParams(A, B, C, alpha), branch)
+    got = solve_correspondence(SusyParams(A * s, B * s, C * s, alpha * s), branch)
+    assert len(got) == len(want)
+    for (m, b), (m0, b0) in zip(got, want):
+        assert cmath.isclose(m, m0, rel_tol=1e-9, abs_tol=1e-9)
+        assert cmath.isclose(b / s, b0, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_solve_m_rejects_b_zero():

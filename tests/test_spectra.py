@@ -180,6 +180,11 @@ def test_broken_spectrum_worked_levels():
     assert np.allclose(merged, want, atol=1e-12)
 
 
+def test_broken_spectrum_c_is_float():
+    spec = broken_spectrum(SusyParams(2, 3, 1, 1))
+    assert type(spec.C) is float and spec.C == 1.0
+
+
 def test_broken_spectrum_rejects_c_zero():
     with pytest.raises(ValueError):
         broken_spectrum(SusyParams(2, 3, 0, 1))
