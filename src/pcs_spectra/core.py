@@ -50,8 +50,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Absolute tolerance for the PT constraint. Parameters are exact
-# user-supplied reals, so this only has to absorb float noise.
+# Relative tolerance for the PT constraint, in units of alpha^2 for the
+# defect (see pt_constraint_check). Parameters are exact user-supplied
+# reals, so this only has to absorb float noise.
 TOL_CONSTRAINT = 1e-10
 
 
@@ -205,8 +206,12 @@ class PotentialCoefficients:
             out = out + self.e0
         return out
 
-    def is_pt_symmetric(self, tol: float = TOL_CONSTRAINT) -> bool:
+    def is_pt_symmetric(self) -> bool:
         """PT symmetry of the x-dependent profile: Im t2 = Re st = 0.
+
+        Each part is compared with TOL_CONSTRAINT alpha^2, the bound
+        pt_constraint_check puts on the defect, so the test does not
+        change when the well is rescaled.
 
         The constant e0 is deliberately not examined. It is the
         factorization offset, not part of the physical well (whose
@@ -214,6 +219,7 @@ class PotentialCoefficients:
         A = B - alpha/2 with C != 0 it goes complex even though the
         profile stays PT-symmetric.
         """
+        tol = _pt_tol(self.alpha)
         return abs(self.t2.imag) <= tol and abs(self.st.real) <= tol
 
     def pt_image(self) -> "PotentialCoefficients":
@@ -237,6 +243,11 @@ def _pt_defect(p: SusyParams) -> float:
     # Shared by pt_constraint_check and the coefficient construction so
     # the two PT tests are the same float expression, not two roundings.
     return (2.0 * (p.A - p.B) + p.alpha) * p.C
+
+
+def _pt_tol(alpha: float) -> float:
+    # the bound on the defect, which carries units of alpha^2
+    return TOL_CONSTRAINT * (alpha * alpha)
 
 
 def complexify(p: SusyParams, branch: BranchSign) -> ComplexSusyParams:
@@ -297,17 +308,25 @@ def pcs_partner_coefficients(p: SusyParams, branch: BranchSign) -> PotentialCoef
     )
 
 
-def pt_constraint_check(p: SusyParams, tol: float = TOL_CONSTRAINT) -> PtConstraintReport:
+def pt_constraint_check(p: SusyParams) -> PtConstraintReport:
     """Decide whether the parameters give a PT-symmetric V_minus.
 
     The potential is PT-symmetric iff C (2(A-B) + alpha) = 0. Only
     C = 0 is generic; the alternative A = B - alpha/2 with C != 0 ties
     the two couplings together and is flagged but not developed here.
+
+    The test is relative to the well's scale: the defect is compared
+    with TOL_CONSTRAINT alpha^2 (the bound is_pt_symmetric puts on
+    Im t2 and Re st, so the two tests agree by construction) and
+    2(A-B) + alpha with TOL_CONSTRAINT alpha. constraint_residual is
+    the absolute defect |C (2(A-B) + alpha)|.
     """
     residual = abs(_pt_defect(p))
-    degenerate = p.C != 0.0 and abs(2.0 * (p.A - p.B) + p.alpha) <= tol
+    degenerate = (
+        p.C != 0.0 and abs(2.0 * (p.A - p.B) + p.alpha) <= TOL_CONSTRAINT * p.alpha
+    )
     return PtConstraintReport(
-        pt_symmetric=residual <= tol,
+        pt_symmetric=residual <= _pt_tol(p.alpha),
         constraint_residual=residual,
         degenerate_branch=degenerate,
     )
@@ -393,6 +412,10 @@ def physical_to_susy(phys: PcsPhysicalParams) -> list[SusyParams]:
         the mirrored family (-A - alpha, B) describes the same well and
         is not listed separately.
 
+    A root within 1e-12 (|V1| + alpha^2/4) of zero is taken as zero,
+    a bound that scales with the well, so (V1, V2, alpha) and
+    (s^2 V1, s^2 V2, s alpha) give the same candidates scaled by s.
+
     Raises:
         NoRealFactorization: if the quadratic has complex roots or a
             negative root.
@@ -410,8 +433,9 @@ def physical_to_susy(phys: PcsPhysicalParams) -> list[SusyParams]:
     # product form for the small root avoids cancellation
     r_lo = prod / r_hi if r_hi != 0.0 else 0.5 * (s - sq)
     roots = sorted((r_lo, r_hi))
-    # absorb float dust around an exact zero root
-    roots = [0.0 if abs(r) <= 1e-12 * max(1.0, abs(s)) else r for r in roots]
+    # absorb float dust around an exact zero root, on the well's scale
+    dust = 1e-12 * (abs(phys.V1) + a4)
+    roots = [0.0 if abs(r) <= dust else r for r in roots]
     if any(r < 0.0 for r in roots):
         log.debug("discarding negative quadratic roots %s for %s", roots, phys)
         raise NoRealFactorization(

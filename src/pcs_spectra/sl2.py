@@ -44,19 +44,16 @@ class Sl2Params:
         _require_positive_alpha(self.alpha)
 
 
-def _profile(m, b, alpha):
-    # (t2, st) carried by the m-eigenspace
-    return b * b + alpha * alpha * (0.25 - m * m), -2.0 * alpha * m * b
-
-
 def build_sl2_potential(s: Sl2Params) -> PotentialCoefficients:
     """Potential carried by the m-eigenspace of the algebraic family.
 
     t2 = b^2 + alpha^2 (1/4 - m^2), st = -2 alpha m b, with no constant
     offset: the algebraic route fixes energies relative to zero.
     """
-    t2, st = _profile(s.m, s.b, s.alpha)
-    return PotentialCoefficients(t2=t2, st=st, e0=0j, alpha=s.alpha)
+    m, b, a = s.m, s.b, s.alpha
+    return PotentialCoefficients(
+        t2=b * b + a * a * (0.25 - m * m), st=-2.0 * a * m * b, e0=0j, alpha=a
+    )
 
 
 def correspondence_residuals(
@@ -128,11 +125,6 @@ def m_square_identities(
     return re_m2, half_im_m2
 
 
-def _pair_residual(m: complex, b: complex, t2: complex, st: complex, alpha: float) -> float:
-    t2_m, st_m = _profile(m, b, alpha)
-    return max(abs(t2_m - t2), abs(st_m - st))
-
-
 def _quartic_roots_y(t2: complex, st: complex, alpha: float) -> list[complex]:
     # y = b^2 satisfies y^2 - (t2 - alpha^2/4) y - st^2 / 4 = 0 after m
     # is eliminated. Solve with the product trick so the small root is
@@ -158,7 +150,23 @@ def _ldexp(z: complex, k: int) -> complex:
     return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
-def _closed_form_pairs(p: SusyParams, branch: BranchSign) -> list[tuple[complex, complex]]:
+def solve_correspondence(
+    p: SusyParams,
+    branch: BranchSign = BranchSign.PLUS,
+) -> list[tuple[complex, complex]]:
+    """All algebraic labels (m, b) realizing the given well.
+
+    Eliminating m reduces the matching to a quadratic in b^2, so the
+    labels are closed-form algebra with no iterative step: each root
+    y gives b = sqrt(y) and m = -st / (2 alpha b). The pairs (m, b) and
+    (-m, -b) realize the same well, so each of the up to two orbits is
+    returned once, with b on the side of the principal square root,
+    ordered by b^2.
+
+    Raises:
+        DegenerateB: the only matching roots have b = 0 (then m is
+            undetermined and no labeling exists).
+    """
     v = pcs_partner_coefficients(p, branch)
     # solve in units of alpha rounded to a power of two, 2^k, exactly:
     # m is unchanged, b scales by 2^k, and no square over- or underflows
@@ -169,71 +177,23 @@ def _closed_form_pairs(p: SusyParams, branch: BranchSign) -> list[tuple[complex,
         b = cmath.sqrt(y)
         if b == 0:
             continue
-        # one member per +/- orbit: the residual is even and the Newton
-        # step odd under (m, b) -> (-m, -b), exactly in floats, so the
-        # other member is this one negated to the bit
-        m = -st / (2.0 * a * b)
-        if _pair_residual(m, b, t2, st, a) > 1e-12:
-            m, b = _polish(m, b, t2, st, a)
-        pairs.append((m, _ldexp(b, k)))
+        # clamp rounding dust before picking the orbit member, so the
+        # true sign of b decides, not a 1e-17 real part on a purely
+        # imaginary root
+        scale = abs(b)
+        br = 0.0 if abs(b.real) <= 1e-12 * scale else b.real
+        bi = 0.0 if abs(b.imag) <= 1e-12 * scale else b.imag
+        if (br, bi) < (0.0, 0.0):
+            b = -b
+        pairs.append((-st / (2.0 * a * b), _ldexp(b, k)))
     if not pairs:
         raise DegenerateB(
             "every matching root has b = 0; the correspondence degenerates here"
         )
-    return pairs
-
-
-def _polish(m, b, t2, st, alpha, steps: int = 2):
-    # one or two Newton steps on the 2x2 complex system; cheap insurance
-    # against the square root losing half the digits near double roots
-    for _ in range(steps):
-        t2_m, st_m = _profile(m, b, alpha)
-        f1, f2 = t2_m - t2, st_m - st
-        # jacobian [[-2 a^2 m, 2 b], [-2 a b, -2 a m]]
-        j11 = -2.0 * alpha * alpha * m
-        j12 = 2.0 * b
-        j21 = -2.0 * alpha * b
-        j22 = -2.0 * alpha * m
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            break
-        dm = (f1 * j22 - f2 * j12) / det
-        db = (f2 * j11 - f1 * j21) / det
-        m, b = m - dm, b - db
-    return m, b
-
-
-def _canonical(pairs):
-    # each orbit's representative has principal-branch b; clamp rounding
-    # dust before picking the sign so the true sign of b decides, not a
-    # 1e-17 real part on a purely imaginary root
-    seen: list[tuple[complex, complex]] = []
-    for m, b in pairs:
-        scale = abs(b)
-        br = 0.0 if abs(b.real) <= 1e-12 * scale else b.real
-        bi = 0.0 if abs(b.imag) <= 1e-12 * scale else b.imag
-        seen.append((-m, -b) if (br, bi) < (0.0, 0.0) else (m, b))
-    seen.sort(key=lambda pr: (
+    pairs.sort(key=lambda pr: (
         (pr[1] * pr[1]).real,
         (pr[1] * pr[1]).imag,
         pr[1].real,
         pr[1].imag,
     ))
-    return seen
-
-
-def solve_correspondence(
-    p: SusyParams,
-    branch: BranchSign = BranchSign.PLUS,
-) -> list[tuple[complex, complex]]:
-    """All algebraic labels (m, b) realizing the given well.
-
-    Eliminating m reduces the matching to a quadratic in b^2, giving up
-    to two +/- orbits of solutions; each is returned once, with b on
-    the side of the principal square root, ordered by b^2.
-
-    Raises:
-        DegenerateB: the only matching roots have b = 0 (then m is
-            undetermined and no labeling exists).
-    """
-    return _canonical(_closed_form_pairs(p, branch))
+    return pairs

@@ -1,16 +1,18 @@
 """Command-line contract: flags, config, schemas, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 import pcs_spectra.spectra
-from pcs_spectra import DEFAULT_TOL_MATCH, BranchSign, SusyParams, cli
+from pcs_spectra import DEFAULT_TOL_MATCH, BranchSign, SusyParams, cli, numerics
 from pcs_spectra.cli import RunConfig, assemble_config, build_parser, run
 
 A23 = ["--A", "2", "--B", "3", "--alpha", "1"]
@@ -101,6 +103,52 @@ class TestVerify:
         )
         assert code == 1
         assert d["passed"] is False
+
+    @staticmethod
+    def _run_with_series1(capsys, edit):
+        # verify (2, 3, 0) against an edited series1: the numeric states
+        # are untouched, so the report shows what the edit left unmatched
+        two_series = numerics.two_series_spectrum
+
+        def edited(*args, **kwargs):
+            s1, s2 = two_series(*args, **kwargs)
+            return dataclasses.replace(s1, energies=edit(s1.energies)), s2
+
+        argv = ["verify", "--A", "2", "--B", "3", "--C", "0"]
+        with mock.patch.object(numerics, "two_series_spectrum", edited):
+            code, d = run_json(capsys, argv)
+            csv_code, rows = run_csv(capsys, argv)
+        assert code == csv_code == 1
+        assert d["passed"] is False
+        return d, rows[1:]
+
+    def test_fail_reports_unmatched_numeric(self, capsys):
+        d, rows = self._run_with_series1(capsys, lambda energies: ())
+        assert d["summary"].startswith("3 matched")
+        assert [m["series"] for m in d["matches"]] == ["series2"] * 3
+        assert d["unmatched_analytic"] == []
+        left = d["unmatched_numeric"]
+        assert [round(u["energy"]["re"], 6) for u in left] == [-4.0, -1.0]
+        assert all(u["residual"] > 0 and u["boundary_leak"] >= 0 for u in left)
+        # one CSV row per match, then one "unmatched" row per left-over state
+        assert [r[2:4] for r in rows] == [["series2", str(n)] for n in range(3)] + [
+            ["unmatched", "-1"]
+        ] * 2
+        for row, u in zip(rows[3:], left):
+            assert row[4:] == [repr(u["energy"]["re"]), repr(u["energy"]["im"]),
+                               repr(u["residual"])]
+
+    def test_fail_reports_unmatched_analytic(self, capsys):
+        d, rows = self._run_with_series1(capsys, lambda energies: energies + (-0.5 + 0j,))
+        assert d["summary"].startswith("5 matched")
+        assert d["unmatched_numeric"] == []
+        assert d["unmatched_analytic"] == [
+            {"series": "series1", "n": 2, "energy": {"re": -0.5, "im": 0.0}}
+        ]
+        # the level with no state is the last row, and its residual is blank
+        assert len(rows) == 6
+        assert rows[-1] == ["0.0", "plus", "series1", "2", "-0.5", "0.0", ""]
+        assert all(row[6] for row in rows[:-1])
 
     def test_numeric_failure_exit_three(self, capsys):
         code = run(

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcs_spectra import (
@@ -176,6 +176,24 @@ class TestPtConstraint:
             for br in (PLUS, MINUS):
                 assert pcs_partner_coefficients(p, br).is_pt_symmetric() == want
 
+    @settings(max_examples=200)
+    @given(
+        st.floats(0.5, 3.5), st.floats(0.5, 3.5), st.floats(-1.5, 1.5), st.floats(0.5, 2.0),
+        st.integers(-100, 100), st.sampled_from([PLUS, MINUS]),
+    )
+    @example(2.0, 3.0, 0.5, 1.0, -6, PLUS)
+    @example(2.3, 2.8, 0.4, 1.0, -100, MINUS)
+    def test_decision_scale_invariant(self, A, B, C, alpha, k, branch):
+        # scaling A, B, C and alpha by s scales the defect by s^2 and its
+        # bound TOL_CONSTRAINT alpha^2 with it, so neither test moves
+        s = 10.0**k
+        p = SusyParams(A, B, C, alpha)
+        q = SusyParams(A * s, B * s, C * s, alpha * s)
+        want = pt_constraint_check(p).pt_symmetric
+        assert pt_constraint_check(q).pt_symmetric == want
+        assert pcs_partner_coefficients(p, branch).is_pt_symmetric() == want
+        assert pcs_partner_coefficients(q, branch).is_pt_symmetric() == want
+
     def test_pt_image_fixed_point_iff_symmetric(self):
         v = pcs_partner_coefficients(SusyParams(2, 3, 0, 1), PLUS)
         img = v.pt_image()
@@ -308,6 +326,40 @@ class TestPhysicalMap:
         # V2 too strong for V1: complex quadratic roots
         with pytest.raises(NoRealFactorization):
             physical_to_susy(PcsPhysicalParams(0.0, 10.0, 1.0))
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(0.5, 3.5), st.floats(0.5, 3.5), st.floats(0.5, 2.0),
+        st.integers(-75, 75),
+    )
+    @example(2.0, 3.2, 1.0, -9)
+    def test_physical_to_susy_scale_covariant(self, A, B, alpha, k):
+        # (V1, V2, alpha) -> (s^2 V1, s^2 V2, s alpha) scales every
+        # candidate by s; off the double root (B = A + alpha/2) the two
+        # roots stay apart, so both assignments survive at every scale
+        assume(abs(A + 0.5 * alpha - B) > 1e-3)
+        s = 10.0**k
+        p = SusyParams(A * s, B * s, 0.0, alpha * s)
+        cands = physical_to_susy(susy_to_physical(p))
+        assert len(cands) == 2
+        best = min(abs(q.A - p.A) + abs(q.B - p.B) for q in cands)
+        assert best <= 1e-9 * s
+
+    def test_negative_root_raises(self):
+        # V1 + alpha^2/4 < 0 with V2 = 0: the roots are 0 and -4.75
+        with pytest.raises(NoRealFactorization):
+            physical_to_susy(PcsPhysicalParams(-5.0, 0.0, 1.0))
+
+    def test_zero_v2_gives_a_zero_candidates(self):
+        # V2 = 0 makes 0 a root; assigning it to a^2 = (A + alpha/2)^2
+        # leaves the sign of B free
+        phys = PcsPhysicalParams(5.0, 0.0, 1.0)
+        got = physical_to_susy(phys)
+        b = math.sqrt(5.25)
+        assert [(q.A, q.B) for q in got] == [(-0.5, -b), (-0.5, b), (b - 0.5, -0.0)]
+        for q in got:
+            back = susy_to_physical(q)
+            assert back.V1 == pytest.approx(phys.V1) and back.V2 == 0.0
 
     def test_double_root_listed_once(self):
         # V1 + alpha^2/4 = 2t, V2^2/4 = t^2 makes both roots equal

@@ -177,6 +177,29 @@ def test_labels_scale_covariant(A, B, C, alpha, k, branch):
         assert cmath.isclose(b / s, b0, rel_tol=1e-9, abs_tol=1e-9)
 
 
+@settings(max_examples=200)
+@given(
+    st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.booleans(),
+    st.floats(0.5, 2.0), st.sampled_from([PLUS, MINUS]),
+)
+@example(2e5, 3e5, 5e4, True, 1.0, PLUS)
+@example(-7e5, 3e5, 0.0, False, 1.5, MINUS)
+def test_labels_at_rounding_for_large_couplings(a_ratio, b_ratio, c_ratio, c_zero, alpha, branch):
+    # couplings up to 1e6 alpha: the closed form alone puts every pair
+    # within a few ulp of the profile it realizes (measured worst 4.5)
+    C = 0.0 if c_zero else c_ratio * alpha
+    p = SusyParams(a_ratio * alpha, b_ratio * alpha, C, alpha)
+    try:
+        sols = solve_correspondence(p, branch)
+    except DegenerateB:
+        return
+    v = pcs_partner_coefficients(p, branch)
+    bound = 16 * np.finfo(float).eps * max(abs(v.t2), abs(v.st), alpha * alpha)
+    for m, b in sols:
+        res = correspondence_residuals(Sl2Params(m=m, b=b, alpha=alpha), p, branch)
+        assert np.abs(res).max() <= bound, (p, branch, m, b, res)
+
+
 def test_solve_m_rejects_b_zero():
     with pytest.raises(DegenerateB):
         solve_m_given_b(0j, SusyParams(2, 3, 0, 1), PLUS)
