@@ -252,12 +252,13 @@ def _pt_tol(alpha: float) -> float:
 
 def complexify(p: SusyParams, branch: BranchSign) -> ComplexSusyParams:
     """Package one branch of the ansatz as a complexified pair."""
-    s = branch.sign
-    return ComplexSusyParams(
-        calA=complex(p.A, s * p.C),
-        calB=complex(p.B, -s * p.C),
-        alpha=p.alpha,
-    )
+    calA, calB = _branch_pair(p.A, p.B, p.C, branch.sign)
+    return ComplexSusyParams(calA=calA, calB=calB, alpha=p.alpha)
+
+
+def _branch_pair(A, B, C, s):
+    # (calA, calB) of branch sign s; complexify says what it means
+    return complex(A, s * C), complex(B, -s * C)
 
 
 def _partner(lam, mu, signed_alpha, alpha) -> PotentialCoefficients:
@@ -338,6 +339,13 @@ def _exchange(a, b, alpha):
     return b - half, a + half
 
 
+def _factorizations(lam, mu, alpha):
+    # (lam, mu, factorization energy) of w and of the exchanged w;
+    # dual_superpotentials says what they are
+    lam_x, mu_x = _exchange(lam, mu, alpha)
+    return (lam, mu, -(lam * lam)), (lam_x, mu_x, -(lam_x * lam_x))
+
+
 def exchange_map(p):
     """Swap the roles of the two tower parameters.
 
@@ -375,11 +383,9 @@ def dual_superpotentials(p, branch: BranchSign = BranchSign.PLUS):
     cp = complexify(p, branch) if isinstance(p, SusyParams) else p
     if not isinstance(cp, ComplexSusyParams):
         raise TypeError(f"expected SusyParams or ComplexSusyParams, got {type(p)!r}")
-    lam, mu = cp.calA, cp.calB
-    lam_x, mu_x = _exchange(lam, mu, cp.alpha)
-    return (
-        Superpotential(lam=lam, mu=mu, alpha=cp.alpha, factorization_energy=-(lam * lam)),
-        Superpotential(lam=lam_x, mu=mu_x, alpha=cp.alpha, factorization_energy=-(lam_x * lam_x)),
+    return tuple(
+        Superpotential(lam=lam, mu=mu, alpha=cp.alpha, factorization_energy=energy)
+        for lam, mu, energy in _factorizations(cp.calA, cp.calB, cp.alpha)
     )
 
 
@@ -415,6 +421,8 @@ def physical_to_susy(phys: PcsPhysicalParams) -> list[SusyParams]:
     A root within 1e-12 (|V1| + alpha^2/4) of zero is taken as zero,
     a bound that scales with the well, so (V1, V2, alpha) and
     (s^2 V1, s^2 V2, s alpha) give the same candidates scaled by s.
+    Likewise a discriminant less than 2^-48 (V1 + alpha^2/4)^2 below
+    zero is rounding on a double root, and is taken as zero.
 
     Raises:
         NoRealFactorization: if the quadratic has complex roots or a
@@ -424,6 +432,14 @@ def physical_to_susy(phys: PcsPhysicalParams) -> list[SusyParams]:
     s = phys.V1 + a4
     prod = phys.V2 * phys.V2 / 4.0
     disc = s * s - 4.0 * prod
+    # On a double root (B = A + alpha/2, C = 0) the two terms are equal
+    # in exact arithmetic. V1, V2 and s carry a few roundings each when
+    # they come from float parameters, and the float discriminant then
+    # lands within about 15 u s^2 of zero (u = 2^-53; 7.7 u was the
+    # worst of 20,000 draws). Twice that, 2^-48 s^2, is taken as zero;
+    # anything more negative is a genuinely complex pair of roots.
+    if -(2.0**-48) * (s * s) <= disc < 0.0:
+        disc = 0.0
     if disc < 0.0:
         raise NoRealFactorization(
             f"quadratic discriminant {disc} < 0: no real superpotential parameters"

@@ -9,10 +9,18 @@ one tower per factorization, hence two towers for this well.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .core import BranchSign, SusyParams, Superpotential, dual_superpotentials
+from .core import (
+    BranchSign,
+    Superpotential,
+    SusyParams,
+    _branch_pair,
+    _factorizations,
+    dual_superpotentials,
+)
 from .errors import LadderExhausted, TowerTooLong
 
 __all__ = [
@@ -104,14 +112,15 @@ def shape_invariance_step(w: Superpotential):
 _MAX_TOWER_LEVELS = 10_000
 
 
-def _walk_ladder(w: Superpotential, label: str) -> SpectrumSeries:
-    # Emit -lam_n^2 while Re(lam_n) > 0; the strict inequality is the
-    # normalizability condition for the rung's zero mode, validated
-    # against the numerical solver rather than postulated. The rungs are
-    # the numbers of shape_invariance_step, with its float expressions:
-    # Re(lam) only shrinks and Im(lam) is fixed, so validating w covers
-    # every rung.
-    lam, alpha = w.lam, w.alpha
+def _walk_ladder(lam: complex, alpha: float, energy: complex, label: str) -> SpectrumSeries:
+    # The tower of the superpotential with this lam and factorization
+    # energy, whose numbers the caller has checked. Emit -lam_n^2 while
+    # Re(lam_n) > 0; the strict inequality is the normalizability
+    # condition for the rung's zero mode, validated against the
+    # numerical solver rather than postulated. The rungs are the numbers
+    # of shape_invariance_step, with its float expressions: Re(lam) only
+    # shrinks and Im(lam) is fixed, so a finite first rung makes every
+    # rung finite.
     levels = lam.real / alpha
     if levels > _MAX_TOWER_LEVELS:
         count = math.ceil(levels) if math.isfinite(levels) else levels
@@ -125,11 +134,7 @@ def _walk_ladder(w: Superpotential, label: str) -> SpectrumSeries:
         if lam.real < alpha:
             break
         lam = lam - alpha
-    return SpectrumSeries(
-        label=label,
-        energies=tuple(energies),
-        factorization_energy=w.factorization_energy,
-    )
+    return SpectrumSeries(label=label, energies=tuple(energies), factorization_energy=energy)
 
 
 def two_series_spectrum(p, branch: BranchSign = BranchSign.PLUS):
@@ -150,8 +155,11 @@ def two_series_spectrum(p, branch: BranchSign = BranchSign.PLUS):
         TowerTooLong: when a tower would hold more than 10,000 levels,
             i.e. Re(lam_0) / alpha exceeds that level budget.
     """
-    w, w_exchanged = dual_superpotentials(p, branch)
-    return _walk_ladder(w, "series1"), _walk_ladder(w_exchanged, "series2")
+    w, w_x = dual_superpotentials(p, branch)
+    return (
+        _walk_ladder(w.lam, w.alpha, w.factorization_energy, "series1"),
+        _walk_ladder(w_x.lam, w_x.alpha, w_x.factorization_energy, "series2"),
+    )
 
 
 def broken_spectrum(p: SusyParams) -> BifurcationPoint:
@@ -180,12 +188,45 @@ def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
     C = 0 the two branches coincide and all energies are real; away
     from zero they split into conjugate pairs. Output order equals
     input order.
+
+    Each point is two_series_spectrum(replace(p0, C=C), branch) on both
+    branches, bit for bit, and an input that path rejects raises the
+    same error. The sweep builds no parameter or superpotential objects
+    on the way: it checks p0 once, then computes each branch's (lam,
+    mu), the exchanged pair and both factorization energies with the
+    float operations of complexify and dual_superpotentials, and walks
+    the ladders on those numbers.
+
+    Raises:
+        ValueError: when a grid value is not finite, or a factorization
+            energy or the exchanged pair overflows.
+        TowerTooLong: as two_series_spectrum.
     """
     points: list[BifurcationPoint] = []
     for c in c_grid:
-        q = replace(p0, C=float(c))
-        plus = two_series_spectrum(q, BranchSign.PLUS)
+        c = float(c)
+        if not points:
+            # p0 is a valid well at every C once it is at one
+            replace(p0, C=c)
+        plus = _scan_towers(p0, c, BranchSign.PLUS)
         # at C = 0 minus would differ only in the signs of zero Im parts
-        minus = plus if q.C == 0.0 else two_series_spectrum(q, BranchSign.MINUS)
-        points.append(BifurcationPoint(C=q.C, plus=plus, minus=minus))
+        minus = plus if c == 0.0 else _scan_towers(p0, c, BranchSign.MINUS)
+        points.append(BifurcationPoint(C=c, plus=plus, minus=minus))
     return points
+
+
+def _scan_towers(p0: SusyParams, c: float, branch: BranchSign):
+    alpha = p0.alpha
+    calA, calB = _branch_pair(p0.A, p0.B, c, branch.sign)
+    (lam, _, energy), (lam_x, _, energy_x) = _factorizations(calA, calB, alpha)
+    # Every number the object path checks is finite when both energies
+    # are: a non-finite c makes Re(calA^2) infinite or NaN, and
+    # calB - alpha/2 or calA + alpha/2 overflows only past |B| or |A| of
+    # half the float range, where the square overflows too.
+    if not (cmath.isfinite(energy) and cmath.isfinite(energy_x)):
+        # raises the object path's error for the first bad number
+        return two_series_spectrum(replace(p0, C=c), branch)
+    return (
+        _walk_ladder(lam, alpha, energy, "series1"),
+        _walk_ladder(lam_x, alpha, energy_x, "series2"),
+    )

@@ -10,6 +10,8 @@ import time
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pcs_spectra.spectra
 from pcs_spectra import DEFAULT_TOL_MATCH, BranchSign, SusyParams, cli, numerics
@@ -659,3 +661,64 @@ class TestParserReuse:
         assert shared == fresh
         assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2, 0, 0]
         assert len(json.loads(shared[2][1])["verifications"]) == 2
+
+
+class _Float(float):
+    # json ignores a subclass's repr, and so must the writer
+    def __repr__(self):
+        return "not a number"
+
+
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=8)
+_FLOATS = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.floats().map(_Float)
+)
+_JSON_VALUES = st.recursive(
+    _FLOATS | st.integers() | st.booleans() | st.none() | _TEXT,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, kids, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+class TestJsonWriter:
+    """The report writer gives the bytes of json.dumps(indent=2)."""
+
+    @settings(max_examples=200)
+    @given(_JSON_VALUES)
+    @example({"a": [], "b": {}, "c": [[], {}, ()], "d": [{"e": [[]]}]})
+    @example([_Float(-0.0), _Float(math.nan), _Float(-math.inf), True, 1, None])
+    def test_equals_json_dumps(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", *A23, "--C", "0.5"],
+            ["spectrum", *A23, "--C", "0.5", "--branch", "minus"],
+            ["verify", *A23],
+            ["sl2", *A23],
+            ["bifurcation", *A23, "--steps", "3", "--verify-at", "1"],
+            ["exchange", *A23, "--C", "0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_report_bytes_equal_json_dumps(self, capsys, argv):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_report_builds_no_csv_rows(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_verify_rows", lambda *args: built.append(args) or [])
+        assert run(["verify", *A23]) == 0
+        assert run(["bifurcation", *A23, "--steps", "2", "--verify-at", "1"]) == 0
+        assert built == []
+        capsys.readouterr()
+        assert run(["verify", *A23, "--format", "csv"]) == 0
+        assert len(built) == 1

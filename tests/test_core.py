@@ -361,6 +361,29 @@ class TestPhysicalMap:
             back = susy_to_physical(q)
             assert back.V1 == pytest.approx(phys.V1) and back.V2 == 0.0
 
+    @settings(max_examples=200)
+    @given(st.floats(0.5, 3.5), st.floats(0.5, 2.0), st.integers(-75, 75))
+    @example(1.0, 1.0, 0)
+    def test_double_root_family_roundtrip(self, A, alpha, k):
+        # B = A + alpha/2 makes both roots equal; the float discriminant
+        # then rounds to either side of zero, and below zero is noise.
+        # A double root is fixed only to about sqrt(u) of its size (the
+        # worst of 50,000 draws missed by 1.1e-7 s), hence 1e-6 s.
+        s = 10.0**k
+        p = SusyParams(A * s, (A + 0.5 * alpha) * s, 0.0, alpha * s)
+        cands = physical_to_susy(susy_to_physical(p))
+        best = min(abs(q.A - p.A) + abs(q.B - p.B) for q in cands)
+        assert best <= 1e-6 * s
+
+    @pytest.mark.parametrize("k", [-75, 0, 75])
+    def test_clearly_negative_discriminant_raises(self, k):
+        # the double root (2, 2.5, 0, 1) with V2 one part in 1e6 too
+        # strong: the roots are a complex pair, however close to real
+        s = 10.0**k
+        phys = susy_to_physical(SusyParams(2.0 * s, 2.5 * s, 0.0, s))
+        with pytest.raises(NoRealFactorization, match="discriminant"):
+            physical_to_susy(PcsPhysicalParams(phys.V1, phys.V2 * (1 + 1e-6), phys.alpha))
+
     def test_double_root_listed_once(self):
         # V1 + alpha^2/4 = 2t, V2^2/4 = t^2 makes both roots equal
         phys = PcsPhysicalParams(V1=2 - 0.25, V2=-2.0, alpha=1.0)

@@ -217,3 +217,86 @@ def test_bifurcation_scan_respects_base_params():
     s1, s2 = two_series_spectrum(q, PLUS)
     want = tuple(sorted(s1.energies + s2.energies, key=lambda e: (e.real, e.imag)))
     assert pts[0].energies_plus == want
+
+
+def object_scan(p0, c_grid):
+    """The sweep through the public objects, one replace(p0, C=c) per point."""
+    points = []
+    for c in c_grid:
+        q = dataclasses.replace(p0, C=float(c))
+        plus = two_series_spectrum(q, PLUS)
+        minus = plus if q.C == 0.0 else two_series_spectrum(q, MINUS)
+        points.append((q.C, plus, minus))
+    return points
+
+
+def tower_bits(towers):
+    return [
+        (s.label, bits(s.energies), bits([s.factorization_energy])) for s in towers
+    ]
+
+
+@st.composite
+def scaled_sweeps(draw):
+    # criterion 5's box scaled by 10^k, and a C grid on the same scale
+    # that may hold both signed zeros
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    A, B = draw(st.floats(0.5, 3.5)), draw(st.floats(0.5, 3.5))
+    C, alpha = draw(st.floats(-1.5, 1.5)), draw(st.floats(0.5, 2.0))
+    cs = st.floats(-1.5, 1.5) | st.sampled_from([0.0, -0.0])
+    grid = [c * scale for c in draw(st.lists(cs, min_size=1, max_size=6))]
+    return SusyParams(A * scale, B * scale, C * scale, alpha * scale), grid
+
+
+@settings(max_examples=200)
+@given(scaled_sweeps())
+@example((SusyParams(2, 3, 0, 1), [0, 1, 0.5, -0.0, 0.0]))
+@example((SusyParams(2e150, 3e150, 1e150, 1e150), [0.0, 1e150, -1.5e150]))
+def test_scan_bitwise_equals_object_path(sweep):
+    p0, grid = sweep
+    points = bifurcation_scan(p0, grid)
+    assert len(points) == len(grid)
+    for pt, (c, plus, minus) in zip(points, object_scan(p0, grid)):
+        assert type(pt.C) is float and pt.C.hex() == c.hex()
+        assert tower_bits(pt.plus) == tower_bits(plus)
+        assert tower_bits(pt.minus) == tower_bits(minus)
+        if c == 0.0:
+            assert pt.minus is pt.plus
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "p0, grid, error, message",
+    [
+        (SusyParams(2, 3, 0, 1), [NAN], ValueError, "C must be finite, got nan"),
+        (SusyParams(2, 3, 0, 1), [0.5, 1.0, INF], ValueError, "C must be finite, got inf"),
+        (SusyParams(2, 3, 0, 1), [0.0, -INF, NAN], ValueError, "C must be finite, got -inf"),
+        # the first rung overflows on both branches; plus raises first
+        (SusyParams(2e160, 3e160, 0, 1e160), [0.0], ValueError,
+         "factorization_energy must be finite"),
+        (SusyParams(2e160, 3e160, 0, 1e160), [0.5e160, NAN], ValueError,
+         "factorization_energy must be finite"),
+        # only w's energy overflows: B - alpha/2 is 0
+        (SusyParams(2e160, 5e159, 0, 1e160), [0.0], ValueError,
+         "factorization_energy must be finite"),
+        # the exchanged pair overflows: B - alpha/2 is -inf
+        (SusyParams(2, -1.7e308, 0, 1.7e308), [0.0], ValueError,
+         "lam must be finite, got (-inf-0j)"),
+        # the level budget, on each tower
+        (SusyParams(10_000.5, 3, 0, 1), [0.0], TowerTooLong, "series1 would hold 10001 levels"),
+        (SusyParams(2, 1e17, 0, 1), [0.5, NAN], TowerTooLong,
+         "series2 would hold 100000000000000000 levels"),
+    ],
+)
+def test_scan_errors_equal_object_path(p0, grid, error, message):
+    want = raised(object_scan, p0, grid)
+    assert raised(bifurcation_scan, p0, grid) == want
+    assert want[0] is error and message in want[1]
