@@ -307,6 +307,11 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from exc
     if command == "bifurcation" and merged["c_max"] < merged["c_min"]:
         raise UsageError(f"--C-max {merged['c_max']} is below --C-min {merged['c_min']}")
+    if command == "bifurcation" and not math.isfinite(merged["c_max"] - merged["c_min"]):
+        # np.linspace would fill the C grid with inf and NaN
+        raise UsageError(
+            f"--C-max {merged['c_max']} minus --C-min {merged['c_min']} is not a finite float"
+        )
     merged["verify_at"] = tuple(merged["verify_at"])
     return RunConfig(**merged)
 

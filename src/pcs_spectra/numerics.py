@@ -36,6 +36,10 @@ with Im exactly 0 or come in exact conjugate pairs.
 verify_spectrum discretizes each grid once: the box grid inside
 bound_spectrum, whose polished states are the coarse Richardson
 members, and the h/2 grid for the one refining solve per state.
+
+scipy, which is about two thirds of this package's import time, loads
+on the first solve or census, or the first read of eigvals, zgttrf or
+zgttrs from this module, so the closed-form half never pays for it.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import BranchSign, PotentialCoefficients, SusyParams, pcs_partner_coefficients
 from .errors import DomainTooSmall, NoConvergence, SingularShift
@@ -72,6 +74,32 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+_SCIPY_NAMES = frozenset({"eigvals", "zgttrf", "zgttrs"})
+
+
+def _bind_scipy() -> None:
+    # Bind scipy's eigvals, zgttrf and zgttrs as module globals, keeping
+    # any already set: a replacement installed with setattr before the
+    # first solve (a call counter, say) is the one the solves then call.
+    g = globals()
+    if _SCIPY_NAMES <= g.keys():
+        return
+    from scipy.linalg import eigvals
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    for name, fn in (("eigvals", eigvals), ("zgttrf", zgttrf), ("zgttrs", zgttrs)):
+        g.setdefault(name, fn)
+
+
+def __getattr__(name: str):
+    # PEP 562: runs only for names not yet in the module, so reading any
+    # one of the three binds all of them
+    if name in _SCIPY_NAMES:
+        _bind_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DEFAULT_TOL = 1e-10
 DEFAULT_TOL_MATCH = 1e-6
@@ -290,6 +318,7 @@ def eigen_near(op: DiscretizedOperator, shift: complex, max_iter: int = 60) -> E
         SingularShift: the (possibly updated) shift hit an exact zero
             pivot twice even after perturbing it by tol.
     """
+    _bind_scipy()
     tol = op.certified_tol
     d = op.diag
     n = d.size
@@ -377,6 +406,7 @@ def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[com
             f"above the budget of {_MAX_CENSUS_POINTS}; the well is too deep "
             f"or the box too wide"
         )
+    _bind_scipy()
     op = _mapped_operator(v, Grid(L=grid.L, N=n))
     # The offdiagonal mirrors to the bit by construction, so a diagonal
     # that mirrors to its conjugate to the bit means J H J = conj(H)

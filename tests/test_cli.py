@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from unittest import mock
 
 import pytest
@@ -414,13 +415,26 @@ class TestUsageErrors:
         assert run(["bifurcation", *A23, "--verify-at", "1", "--tol-match", "1e-2"]) == 2
         assert run(["verify", *A23, "--tol-match", "1e-3"]) == 0
 
-    def test_bad_scan_bounds(self, capsys):
+    def test_bad_scan_bounds(self, capsys, tmp_path):
         assert run(["bifurcation", *A23, "--C-min", "1", "--C-max", "0"]) == 2
         assert run(["bifurcation", *A23, "--steps", "0"]) == 2
         assert run(["bifurcation", *A23, "--C-min", "nan"]) == 2
         assert run(["bifurcation", *A23, "--C-max", "inf"]) == 2
         assert run(["bifurcation", *A23, "--verify-at", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
+        # both bounds finite, but C-max - C-min overflows: np.linspace
+        # would warn and fill the grid with inf and NaN
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"c_min": -1e308, "c_max": 1e308, "steps": 3}')
+        expected = "error: --C-max 1e+308 minus --C-min -1e+308 is not a finite float\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for extra in (
+                ["--C-min=-1e308", "--C-max", "1e308", "--steps", "3"],
+                ["--config", str(cfg)],
+            ):
+                assert run(["bifurcation", *A23, *extra]) == 2
+                assert capsys.readouterr() == ("", expected)
 
     def test_steps_above_budget(self, capsys, tmp_path):
         # the C grid is allocated whole before the sweep, so flag and

@@ -1,6 +1,13 @@
-"""The package's public surface: which names it exports, and from where."""
+"""The package's public surface: which names it exports, from where, and what importing it loads."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
 
 import pcs_spectra
 
@@ -85,3 +92,92 @@ def test_each_name_is_the_defining_modules_object():
             assert obj is getattr(module, name), (module_name, name)
             # classes and functions also say where they were defined
             assert getattr(obj, "__module__", module_name) == module_name, (module_name, name)
+
+
+def _fresh(script: str, *args: str) -> dict:
+    # This process already holds scipy (test_numerics imports it), so
+    # import-time behaviour is read in a new interpreter on the same
+    # source tree; the script prints one JSON object as its last line.
+    src = os.path.dirname(os.path.dirname(pcs_spectra.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out.pop("file") == pcs_spectra.__file__
+    return out
+
+
+def test_closed_form_commands_never_load_scipy():
+    out = _fresh("""
+        import contextlib, io, json, sys
+        import pcs_spectra
+        from pcs_spectra import cli
+
+        well = ["--A", "2", "--B", "3"]
+        commands = [
+            ["analyze"], ["spectrum"], ["sl2"], ["exchange"], ["bifurcation", "--steps", "11"]
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            closed = [cli.run([*argv, *well]) for argv in commands]
+            closed_scipy = "scipy" in sys.modules
+            verify = cli.run(["verify", *well, "--N", "1500"])
+        print(json.dumps({
+            "file": pcs_spectra.__file__,
+            "closed": closed,
+            "closed_scipy": closed_scipy,
+            "verify": verify,
+            "verify_scipy": "scipy" in sys.modules,
+        }))
+    """)
+    assert out == {
+        "closed": [0] * 5,
+        "closed_scipy": False,
+        "verify": 0,
+        "verify_scipy": True,
+    }
+
+
+@pytest.mark.parametrize("order", ["read", "unread"])
+def test_scipy_names_are_module_attributes(order):
+    # perfbench's tracer reads numerics.zgttrf and numerics.zgttrs and
+    # replaces them with setattr before any solve; the solves must then
+    # call the replacements, whichever name was read first
+    out = _fresh("""
+        import json
+        import sys
+        import scipy.linalg
+        import scipy.linalg.lapack
+        import pcs_spectra
+        from pcs_spectra import BranchSign, SusyParams, numerics, pcs_partner_coefficients
+
+        real = scipy.linalg.lapack.zgttrs
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        checks = {}
+        if sys.argv[1] == "read":
+            checks["zgttrf"] = numerics.zgttrf is scipy.linalg.lapack.zgttrf
+            checks["zgttrs"] = numerics.zgttrs is real
+            checks["eigvals"] = numerics.eigvals is scipy.linalg.eigvals
+            from pcs_spectra.numerics import zgttrs
+            checks["from_import"] = zgttrs is real
+            try:
+                numerics.no_such_name
+            except AttributeError:
+                checks["attribute_error"] = True
+        numerics.zgttrs = counting
+        v = pcs_partner_coefficients(SusyParams(A=2.0, B=3.0, C=0.0, alpha=1.0), BranchSign.PLUS)
+        numerics.eigen_near(numerics.discretize(v, numerics.Grid(L=12.0, N=200)), -4.0)
+        checks["kept"] = numerics.zgttrs is counting
+        checks["zgttrf_after"] = numerics.zgttrf is scipy.linalg.lapack.zgttrf
+        print(json.dumps({"file": pcs_spectra.__file__, "calls": len(calls), "checks": checks}))
+    """, order)
+    assert out["calls"] > 0
+    assert all(out["checks"].values())
+    assert len(out["checks"]) == (7 if order == "read" else 2)
