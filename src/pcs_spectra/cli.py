@@ -30,8 +30,6 @@ import sys
 import typing
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .core import (
     BranchSign,
     SusyParams,
@@ -308,7 +306,7 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
     if command == "bifurcation" and merged["c_max"] < merged["c_min"]:
         raise UsageError(f"--C-max {merged['c_max']} is below --C-min {merged['c_min']}")
     if command == "bifurcation" and not math.isfinite(merged["c_max"] - merged["c_min"]):
-        # np.linspace would fill the C grid with inf and NaN
+        # the C grid's step would be inf and its points inf and NaN
         raise UsageError(
             f"--C-max {merged['c_max']} minus --C-min {merged['c_min']} is not a finite float"
         )
@@ -456,15 +454,15 @@ def _cmd_sl2(cfg: RunConfig):
     data = _head(cfg)
     solutions = []
     for m, b in solve_correspondence(p, branch):
-        res = correspondence_residuals(Sl2Params(m=m, b=b, alpha=p.alpha), p, branch)
+        res = correspondence_residuals(Sl2Params(m=m, b=b, alpha=p.alpha), p, branch).tolist()
         re_m2, half_im_m2 = m_square_identities(b, p, branch)
         m2 = m * m
         solutions.append(
             {
                 "m": _c(m),
                 "b": _c(b),
-                "residuals": [float(r) for r in res],
-                "max_residual": float(np.abs(res).max()),
+                "residuals": res,
+                "max_residual": max(map(abs, res)),
                 "identity_errs": [
                     abs(m2.real - re_m2),
                     abs(0.5 * m2.imag - half_im_m2),
@@ -493,9 +491,27 @@ def _point_payload(pt) -> dict:
     }
 
 
+def _c_grid(lo: float, hi: float, steps: int) -> list[float]:
+    # np.linspace(lo, hi, steps) to the bit, in plain floats: i*step + lo
+    # with the last point set to hi, and (i/div)*span + lo when the step
+    # underflows to zero, as numpy does for a subnormal span
+    span = hi - lo
+    div = steps - 1
+    if div == 0:
+        # not [lo]: numpy adds lo to 0.0 * span, which turns -0.0 into 0.0
+        return [0.0 * span + lo]
+    step = span / div
+    if step == 0.0:
+        grid = [i / div * span + lo for i in range(div)]
+    else:
+        grid = [i * step + lo for i in range(div)]
+    grid.append(hi)
+    return grid
+
+
 def _cmd_bifurcation(cfg: RunConfig):
     p0 = cfg.params
-    c_grid = [float(c) for c in np.linspace(cfg.c_min, cfg.c_max, cfg.steps)]
+    c_grid = _c_grid(cfg.c_min, cfg.c_max, cfg.steps)
     points = bifurcation_scan(p0, c_grid)
     data = _head(cfg)
     data["c_grid"] = c_grid

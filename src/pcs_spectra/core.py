@@ -14,7 +14,8 @@ coefficient algebra on the (sech^2, sech tanh, const) representation of
 such potentials; no discretization happens here.
 
 All types are immutable values and all operations are pure functions
-of their arguments.
+of their arguments. numpy loads on the first evaluate call, the only
+code here that handles arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import NoRealFactorization
 
@@ -164,11 +163,15 @@ class Superpotential:
 
     def evaluate(self, x):
         """W at the given points (scalar or array)."""
+        import numpy as np
+
         ax = self.alpha * np.asarray(x, dtype=float)
         return self.lam * np.tanh(ax) + 1j * self.mu / np.cosh(ax)
 
     def evaluate_derivative(self, x):
         """dW/dx at the given points."""
+        import numpy as np
+
         ax = self.alpha * np.asarray(x, dtype=float)
         sech = 1.0 / np.cosh(ax)
         return self.alpha * (self.lam * sech * sech - 1j * self.mu * sech * np.tanh(ax))
@@ -196,6 +199,8 @@ class PotentialCoefficients:
 
     def evaluate(self, x, include_offset: bool = True):
         """Potential values at the given points (scalar or array)."""
+        import numpy as np
+
         ax = self.alpha * np.asarray(x, dtype=float)
         # cosh overflows to inf past |alpha x| ~ 710, where sech is
         # rightly 0.0: nothing to warn about

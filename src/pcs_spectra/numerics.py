@@ -40,6 +40,10 @@ members, and the h/2 grid for the one refining solve per state.
 scipy, which is about two thirds of this package's import time, loads
 on the first solve or census, or the first read of eigvals, zgttrf or
 zgttrs from this module, so the closed-form half never pays for it.
+numpy, about 0.1 s of a fresh interpreter's start on a 2-vCPU VM, is
+imported inside the functions that build or read arrays, so it loads
+with the first discretize, solve or census: importing this module
+loads neither library.
 """
 
 from __future__ import annotations
@@ -49,12 +53,14 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import BranchSign, PotentialCoefficients, SusyParams, pcs_partner_coefficients
 from .errors import DomainTooSmall, NoConvergence, SingularShift
 from .spectra import energy_sort_key, two_series_spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
@@ -227,6 +233,8 @@ class DiscretizedOperator:
         above DEFAULT_TOL on every default grid. Computed once per
         operator.
         """
+        import numpy as np
+
         eps = float(np.finfo(np.float64).eps)
         off = float(np.abs(self.offdiag).max())
         floor = 8.0 * eps * (2.0 * off + float(np.abs(self.diag).max()))
@@ -253,6 +261,8 @@ class EigenResult:
 
 
 def _mapped_operator(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
+    import numpy as np
+
     # Three-point Laplacian on the nodes x_j = a sinh(xi_j / a), with
     # spacings h_i = x_{i+1} - x_i from wall to wall and weights
     # w_i = (h_{i-1} + h_i) / 2. Scaling row and column i by sqrt(w_i)
@@ -288,6 +298,8 @@ def discretize(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
 
 
 def _boundary_leak(op: DiscretizedOperator, y: np.ndarray) -> float:
+    import numpy as np
+
     # wavefunction amplitude |y| / sqrt(w); the outermost node at each
     # end counts even on a grid too coarse to reach 0.95 L
     amplitude = np.abs(y) / np.sqrt(op.weights)
@@ -318,6 +330,8 @@ def eigen_near(op: DiscretizedOperator, shift: complex, max_iter: int = 60) -> E
         SingularShift: the (possibly updated) shift hit an exact zero
             pivot twice even after perturbing it by tol.
     """
+    import numpy as np
+
     _bind_scipy()
     tol = op.certified_tol
     d = op.diag
@@ -406,6 +420,8 @@ def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[com
             f"above the budget of {_MAX_CENSUS_POINTS}; the well is too deep "
             f"or the box too wide"
         )
+    import numpy as np
+
     _bind_scipy()
     op = _mapped_operator(v, Grid(L=grid.L, N=n))
     # The offdiagonal mirrors to the bit by construction, so a diagonal

@@ -14,12 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import BranchSign, PotentialCoefficients, SusyParams, pcs_partner_coefficients
 from .core import _require_finite, _require_positive_alpha
 from .errors import DegenerateB
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Sl2Params",
@@ -65,6 +67,8 @@ def correspondence_residuals(
     its constant offset e0 is the factorization energy, which the
     algebraic side does not carry.
     """
+    import numpy as np
+
     alg = build_sl2_potential(s)
     sus = pcs_partner_coefficients(p, branch)
     dt2 = alg.t2 - sus.t2

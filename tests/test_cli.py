@@ -10,8 +10,9 @@ import time
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pcs_spectra.spectra
@@ -230,19 +231,27 @@ class TestSl2:
         ["spectrum", "--A", "1e300", "--B", "3"],
         ["sl2", "--A", "1e200", "--B", "1e200"],
         ["analyze", "--A", "1e200", "--B", "3"],
+        # a finite C span within rounding of the largest float: the grid
+        # is built without overflow, and its C gives an infinite energy
+        ["bifurcation", "--A", "2", "--B", "3", "--C-min", "0",
+         "--C-max", "1.7976931348623157e308", "--steps", "7"],
     ],
     ids=[
         "tiny-box", "huge-box", "huge-box-h2",
         "spectrum-overflow", "sl2-overflow", "analyze-overflow",
+        "bifurcation-near-max-span",
     ],
 )
 def test_unrepresentable_numbers_exit_three(capsys, argv):
-    code = run(argv)
+    # no warning on the way: the one line on stderr is the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
 
 
 class TestExchange:
@@ -370,6 +379,40 @@ class TestBifurcation:
         _, d = run_json(capsys, argv + zeros)
         assert [math.copysign(1.0, c) for c in calls] == [1.0, 1.0, -1.0, -1.0]
         assert [math.copysign(1.0, v["C"]) for v in d["verifications"]] == [1.0, -1.0, 1.0]
+
+
+@st.composite
+def _c_ranges(draw):
+    lo = draw(st.floats(allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        hi = draw(st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        # a few ulps above lo: near zero the step underflows to 0.0
+        hi = lo
+        for _ in range(draw(st.integers(0, 16))):
+            hi = math.nextafter(hi, math.inf)
+    lo, hi = sorted((lo, hi))
+    assume(math.isfinite(hi - lo))
+    return lo, hi
+
+
+@settings(max_examples=200)
+@given(_c_ranges(), st.one_of(st.sampled_from([1, 2, cli.MAX_STEPS]), st.integers(1, 50)))
+@example((0.0, 5e-324), 7)
+@example((5e-324, 2e-323), cli.MAX_STEPS)
+@example((-1e-322, 5e-324), 2)
+@example((-0.0, 0.0), 1)
+@example((0.0, -0.0), 3)
+@example((-0.0, -0.0), 2)
+@example((-0.0, 1.0), cli.MAX_STEPS)
+@example((0.0, 1.7976931348623157e308), 7)
+@example((-8.988465674311579e307, 8.988465674311579e307), cli.MAX_STEPS)
+@example((1e308, 1.7976931348623157e308), 101)
+def test_c_grid_equals_linspace(c_range, steps):
+    lo, hi = c_range
+    with np.errstate(all="ignore"):
+        want = [float(c).hex() for c in np.linspace(lo, hi, steps)]
+    assert [c.hex() for c in cli._c_grid(lo, hi, steps)] == want
 
 
 class TestUsageErrors:

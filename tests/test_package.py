@@ -111,32 +111,38 @@ def _fresh(script: str, *args: str) -> dict:
 
 
 def test_closed_form_commands_never_load_scipy():
+    # numpy is pinned too: only the commands that handle arrays load it
     out = _fresh("""
         import contextlib, io, json, sys
+
+        def loaded():
+            return [name for name in ("numpy", "scipy") if name in sys.modules]
+
         import pcs_spectra
         from pcs_spectra import cli
 
+        stages = {"import": loaded()}
         well = ["--A", "2", "--B", "3"]
-        commands = [
-            ["analyze"], ["spectrum"], ["sl2"], ["exchange"], ["bifurcation", "--steps", "11"]
-        ]
+        commands = {
+            "closed": [["analyze"], ["spectrum"], ["exchange"], ["bifurcation", "--steps", "11"]],
+            "sl2": [["sl2"]],
+            "verify": [["verify", "--N", "1500"]],
+        }
+        codes = {}
         with contextlib.redirect_stdout(io.StringIO()):
-            closed = [cli.run([*argv, *well]) for argv in commands]
-            closed_scipy = "scipy" in sys.modules
-            verify = cli.run(["verify", *well, "--N", "1500"])
-        print(json.dumps({
-            "file": pcs_spectra.__file__,
-            "closed": closed,
-            "closed_scipy": closed_scipy,
-            "verify": verify,
-            "verify_scipy": "scipy" in sys.modules,
-        }))
+            for stage, argvs in commands.items():
+                codes[stage] = [cli.run([*argv, *well]) for argv in argvs]
+                stages[stage] = loaded()
+        print(json.dumps({"file": pcs_spectra.__file__, "codes": codes, "loaded": stages}))
     """)
     assert out == {
-        "closed": [0] * 5,
-        "closed_scipy": False,
-        "verify": 0,
-        "verify_scipy": True,
+        "codes": {"closed": [0] * 4, "sl2": [0], "verify": [0]},
+        "loaded": {
+            "import": [],
+            "closed": [],
+            "sl2": ["numpy"],
+            "verify": ["numpy", "scipy"],
+        },
     }
 
 
