@@ -36,6 +36,12 @@ with Im exactly 0 or come in exact conjugate pairs.
 verify_spectrum discretizes each grid once: the box grid inside
 bound_spectrum, whose polished states are the coarse Richardson
 members, and the h/2 grid for the one refining solve per state.
+The PT image V(-x)* of a well gives the operator J conj(H) J, whose
+eigenvalues are exactly the conjugates of H's; within a
+_census_scope, the census of a well is taken once and its image
+starts from the conjugates (bifurcation --verify-at checks both
+branches, which are PT images of each other). The image is still
+polished and certified on its own operator.
 
 scipy, which is about two thirds of this package's import time, loads
 on the first solve or census, or the first read of eigvals, zgttrf or
@@ -49,6 +55,8 @@ loads neither library.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import functools
 import logging
 import math
@@ -403,7 +411,54 @@ def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> Eige
     )
 
 
+# census values by the bits of (t2, st, alpha, L, N, halvings), shared
+# within a _census_scope; None outside one, where every census is taken
+_census_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "census_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def _census_scope():
+    """Within the block, take one dense census per well up to PT image.
+
+    A well censused before on the same box grid and halving takes that
+    census; a well whose PT image V(-x)* was censused takes its
+    conjugates, which are the image operator's eigenvalues exactly
+    (J conj(H) J has the conjugate spectrum of H). The match is by the
+    bits of the coefficients, so signed zeros count. Only the shifts are
+    shared: each well is still polished on its own operator.
+    """
+    token = _census_memo.set({})
+    try:
+        yield
+    finally:
+        _census_memo.reset(token)
+
+
+def _census_key(t2: complex, st: complex, alpha: float, grid: Grid, halvings: int) -> tuple:
+    parts = (t2.real, t2.imag, st.real, st.imag, alpha, grid.L)
+    return (*(float(x).hex() for x in parts), grid.N, halvings)
+
+
 def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[complex]:
+    memo = _census_memo.get()
+    if memo is None:
+        return _dense_census(v, grid, halvings)
+    t2, st = complex(v.t2), complex(v.st)
+    key = _census_key(t2, st, v.alpha, grid, halvings)
+    if key in memo:
+        return memo[key]
+    image = memo.get(_census_key(t2.conjugate(), -st.conjugate(), v.alpha, grid, halvings))
+    if image is not None:
+        # a real value keeps Im +0.0, as the image's own census gives it,
+        # so a mirror-exact well polishes from the very same shifts
+        return sorted((complex(z.real, -z.imag or 0.0) for z in image), key=energy_sort_key)
+    memo[key] = values = _dense_census(v, grid, halvings)
+    return values
+
+
+def _dense_census(v: PotentialCoefficients, grid: Grid, halvings: int) -> list[complex]:
     # Every eigenvalue of the mapped operator on the same box at a
     # coarse xi step, halved `halvings` times, sorted: dxi is set by the
     # fastest local oscillation sqrt(|V| + alpha^2) that a bound state
@@ -462,8 +517,11 @@ def bound_spectrum(
     levels only to a few hundredths, so two close levels can merge into
     census values that polish to one state; when two values of the
     census land on one state, the census is taken once more at half its
-    xi step and those values are polished too. seeds are optional extra
-    shifts, polished first. Runs converging to Re(E) >= re_limit are
+    xi step and those values are polished too. Within a _census_scope,
+    a well whose census, or whose PT image's census, was taken on the
+    same box and step starts from that census or its conjugates; the
+    polish, the gates and the result are its own. seeds are optional
+    extra shifts, polished first. Runs converging to Re(E) >= re_limit are
     discarded; re_limit = 0 is the continuum threshold of the
     e0-subtracted operator, and callers may raise it to chase
     normalizable states whose energy has crept past zero real part in

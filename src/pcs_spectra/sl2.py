@@ -69,11 +69,18 @@ def correspondence_residuals(
     """
     import numpy as np
 
+    return np.array(_correspondence_residuals(s, p, branch))
+
+
+def _correspondence_residuals(
+    s: Sl2Params, p: SusyParams, branch: BranchSign
+) -> tuple[float, float, float, float]:
+    # the same four floats as a tuple, so the sl2 CLI needs no numpy
     alg = build_sl2_potential(s)
     sus = pcs_partner_coefficients(p, branch)
     dt2 = alg.t2 - sus.t2
     dst = alg.st - sus.st
-    return np.array([dt2.real, dt2.imag, dst.real, dst.imag])
+    return (dt2.real, dt2.imag, dst.real, dst.imag)
 
 
 def solve_m_given_b(

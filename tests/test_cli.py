@@ -380,6 +380,38 @@ class TestBifurcation:
         assert [math.copysign(1.0, c) for c in calls] == [1.0, 1.0, -1.0, -1.0]
         assert [math.copysign(1.0, v["C"]) for v in d["verifications"]] == [1.0, -1.0, 1.0]
 
+    def test_one_dense_census_per_well_up_to_pt_image(self, capsys, monkeypatch):
+        # (1, minus) is the PT image of (1, plus) and the same well as
+        # (-1, plus): one dense eigensolve serves all four verifications,
+        # each of which still builds and polishes on its own operators
+        eigvals, discretize = numerics.eigvals, numerics.discretize
+        calls, wells = [], []
+
+        def eigvals_counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigvals(*args, **kwargs)
+
+        def discretize_counted(v, grid):
+            wells.append(v)
+            return discretize(v, grid)
+
+        monkeypatch.setattr(numerics, "eigvals", eigvals_counted)
+        monkeypatch.setattr(numerics, "discretize", discretize_counted)
+        argv = ["bifurcation", *A23, "--steps", "3", "--verify-at", "1", "--verify-at", "-1"]
+        for _ in range(2):
+            # and the next run takes its own
+            calls.clear()
+            wells.clear()
+            code, d = run_json(capsys, argv)
+            assert code == 0
+            assert len(calls) == 1
+            assert len(wells) == 8 and len(set(wells)) == 2
+            assert all(v["numeric_conjugacy_err"] <= 1e-9 for v in d["verifications"])
+            assert numerics._census_memo.get() is None
+        calls.clear()
+        code, _ = run_json(capsys, ["verify", *A23])
+        assert code == 0 and len(calls) == 1
+
 
 @st.composite
 def _c_ranges(draw):

@@ -19,6 +19,7 @@ from pcs_spectra import (
     bound_spectrum,
     default_grid,
     discretize,
+    energy_sort_key,
     eigen_near,
     pcs_partner_coefficients,
     refine_eigenvalue,
@@ -28,6 +29,7 @@ from pcs_spectra import (
 from pcs_spectra import numerics
 
 PLUS = BranchSign.PLUS
+MINUS = BranchSign.MINUS
 
 # textbook sech^2 well: -A(A+1) sech^2(x) binds at -(A-n)^2
 POSCHL_TELLER_3 = PotentialCoefficients(t2=-12.0, st=0.0, e0=0.0, alpha=1.0)
@@ -75,6 +77,39 @@ class TestMappedOperator:
         assert np.array_equal(op.weights[::-1], op.weights)
         assert np.array_equal(op.offdiag[::-1], op.offdiag)
         assert np.array_equal(op.diag[::-1], op.diag.conj())
+
+
+@st.composite
+def broken_wells(draw):
+    # criterion 5's box with C != 0
+    A, B, alpha = draw(st.floats(0.5, 3.5)), draw(st.floats(0.5, 3.5)), draw(st.floats(0.5, 2.0))
+    C = draw(st.floats(-1.5, 1.5).filter(lambda c: c != 0.0))
+    return SusyParams(A, B, C, alpha)
+
+
+def coefficient_bits(v):
+    return [float(x).hex() for z in (v.t2, v.st, v.e0) for x in (z.real, z.imag)]
+
+
+def value_bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+@given(broken_wells(), st.integers(3, 300))
+def test_minus_branch_is_the_pt_image_of_plus(p, n):
+    # the census shares a well's values with its PT image, matched by
+    # the bits of the coefficients: (C, minus) is V(-x)* of (C, plus),
+    # and the same well as (-C, plus), to the bit
+    plus = pcs_partner_coefficients(p, PLUS)
+    minus = pcs_partner_coefficients(p, MINUS)
+    assert minus == plus.pt_image()
+    assert minus == pcs_partner_coefficients(dataclasses.replace(p, C=-p.C), PLUS)
+    assert coefficient_bits(minus) == coefficient_bits(plus.pt_image())
+    grid = Grid(L=numerics.DEFAULT_HALF_WIDTH / p.alpha, N=n)
+    op_plus, op_minus = discretize(plus, grid), discretize(minus, grid)
+    # so its operator is J conj(H) J, with the conjugate spectrum
+    assert np.array_equal(op_minus.diag, op_plus.diag[::-1].conj())
+    assert np.array_equal(op_minus.offdiag, op_plus.offdiag[::-1])
 
 
 def dense_operator(v, L, n):
@@ -183,6 +218,69 @@ class TestCensus:
     @given(pt_degenerate_wells(), st.sampled_from(list(BranchSign)), st.integers(3, 120))
     def test_pt_degenerate_wells_over_criterion_5_box(self, p, branch, n):
         self.assert_census_is_dense_spectrum(p, branch, n)
+
+
+class TestCensusScope:
+    @staticmethod
+    def count_eigvals(monkeypatch):
+        eigvals = numerics.eigvals
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "eigvals", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(SusyParams(2, 3, 0, 1), id="(2, 3, 0)"),
+            pytest.param(SusyParams(2, 3, -0.0, 1), id="(2, 3, -0.0)"),
+            pytest.param(SusyParams(2, 2.5, 1, 1), id="(2, 2.5, 1) PT-degenerate"),
+        ],
+    )
+    def test_mirror_exact_image_takes_the_same_bits(self, monkeypatch, params):
+        # the minus well differs from the plus well only in signed zeros
+        # of its coefficients, and its operator is the same to the bit:
+        # the shared census must equal its own census bit for bit, Im +0.0
+        # on the real values included
+        grid = Grid(L=12.0, N=4000)
+        plus = pcs_partner_coefficients(params, PLUS)
+        minus = pcs_partner_coefficients(params, MINUS)
+        assert coefficient_bits(plus) != coefficient_bits(minus)
+        own = numerics._census(minus, grid)
+        calls = self.count_eigvals(monkeypatch)
+        with numerics._census_scope():
+            numerics._census(plus, grid)
+            shared = numerics._census(minus, grid)
+        assert len(calls) == 1
+        assert value_bits(shared) == value_bits(own)
+
+    def test_broken_image_takes_the_conjugates(self, monkeypatch):
+        grid = Grid(L=12.0, N=4000)
+        p = SusyParams(2, 3, 1, 1)
+        plus = pcs_partner_coefficients(p, PLUS)
+        minus = pcs_partner_coefficients(p, MINUS)
+        own = numerics._census(minus, grid)
+        calls = self.count_eigvals(monkeypatch)
+        with numerics._census_scope():
+            first = numerics._census(plus, grid)
+            shared = numerics._census(minus, grid)
+            again = numerics._census(plus, grid)
+            mirrored = numerics._census(
+                pcs_partner_coefficients(dataclasses.replace(p, C=-1.0), PLUS), grid
+            )
+            retaken = numerics._census(minus, grid, 1)
+        # one census per (well up to PT image, halving); the scope ends
+        # with its block
+        assert [shape[0] for shape in calls] == [len(first), len(retaken)]
+        assert numerics._census(plus, grid) == first and len(calls) == 3
+        assert again is first
+        assert shared == mirrored == sorted((z.conjugate() for z in first), key=energy_sort_key)
+        # the image's own dense census agrees to rounding
+        pair_off(shared, np.array(own), 1e-9 * np.maximum(1.0, np.abs(own)))
 
 
 class TestEigenNear:
@@ -422,6 +520,52 @@ class TestVerifySpectrum:
         monkeypatch.setattr(numerics, "_census", census_counting)
         assert verify_spectrum(params).passed
         assert len(calls) == takes
+
+
+# B = A + alpha with C = 0: how deep a well verify_spectrum certifies.
+# The worst eigenvalue condition number of the box operator grows 22-29
+# times per unit of A/alpha, and past about A/alpha = 4 it times the
+# rounding error exceeds tol_match
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(SusyParams(2, 3, 0, 1), id="(2, 3)"),
+        pytest.param(SusyParams(3, 4, 0, 1), id="(3, 4)"),
+        pytest.param(SusyParams(4, 5, 0, 1), id="(4, 5)"),
+        pytest.param(SusyParams(1.5, 2, 0, 0.5), id="(1.5, 2, alpha 0.5)"),
+        pytest.param(
+            SusyParams(5, 6, 0, 1),
+            id="(5, 6)",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="FAIL with max |dE| 1.7e-5: the worst level's condition number "
+                "5.2e6 times rounding, not a wrong tower",
+            ),
+        ),
+        pytest.param(
+            SusyParams(20, 24, 0, 4),
+            id="(20, 24, alpha 4)",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="(5, 6) scaled by 4: FAIL with max |dE| 2.7e-4",
+            ),
+        ),
+        pytest.param(
+            SusyParams(7, 8, 0, 1),
+            id="(7, 8)",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=NoConvergence,
+                reason="the h/2 solve of a level with condition number 4.3e9 does not "
+                "converge",
+            ),
+        ),
+    ],
+)
+def test_depth_envelope(params):
+    assert verify_spectrum(params).passed
 
 
 def true_wells():

@@ -111,7 +111,8 @@ def _fresh(script: str, *args: str) -> dict:
 
 
 def test_closed_form_commands_never_load_scipy():
-    # numpy is pinned too: only the commands that handle arrays load it
+    # numpy is pinned too: only the commands that handle arrays load it,
+    # and sl2 reports its four residuals as plain floats
     out = _fresh("""
         import contextlib, io, json, sys
 
@@ -140,7 +141,7 @@ def test_closed_form_commands_never_load_scipy():
         "loaded": {
             "import": [],
             "closed": [],
-            "sl2": ["numpy"],
+            "sl2": [],
             "verify": ["numpy", "scipy"],
         },
     }
