@@ -50,7 +50,7 @@ from .numerics import (
     verify_spectrum,
 )
 from .sl2 import Sl2Params, _correspondence_residuals, m_square_identities, solve_correspondence
-from .spectra import bifurcation_scan, energy_sort_key, two_series_spectrum
+from .spectra import bifurcation_scan, two_series_spectrum
 
 __all__ = ["RunConfig", "SCHEMA_VERSION", "build_parser", "run", "main"]
 
@@ -63,8 +63,9 @@ _CSV_HEADER = ("C", "branch", "series", "n", "re_E", "im_E", "residual")
 # 10,000 steps of (2, 3) take 1.1 s and print 11 MB of JSON on a 2-vCPU
 # VM, and both grow linearly with the step count
 MAX_STEPS = 10_000
-# most --verify-at values; each distinct one verifies both branches,
-# about 0.13 s for (2, 3) at C = 1 on a 2-vCPU VM
+# most --verify-at values; each distinct well, the plus branch at C or
+# -C, is verified once, and C = 1 for (2, 3) takes about 0.12 s for
+# both of its wells on a 2-vCPU VM
 MAX_VERIFY_AT = 100
 
 
@@ -480,21 +481,28 @@ def _cmd_sl2(cfg: RunConfig):
     return data, None, 0
 
 
-def _conjugacy_error(plus, minus):
-    # plus comes sorted by energy_sort_key
-    if len(plus) != len(minus):
+def _conjugacy_error(plus: dict, minus: dict):
+    # energies keyed by (series, n): the minus level is the conjugate of
+    # the plus level with the same label; None when the labels differ
+    if plus.keys() != minus.keys():
         return None
-    ems = sorted((e.conjugate() for e in minus), key=energy_sort_key)
-    return max((abs(a - b) for a, b in zip(plus, ems)), default=0.0)
+    return max([abs(e - minus[k].conjugate()) for k, e in plus.items()], default=0.0)
+
+
+def _tower_levels(towers) -> dict:
+    return {(s.label, n): e for s in towers for n, e in enumerate(s.energies)}
+
+
+def _matched_levels(report) -> dict:
+    return {(m.analytic.series, m.analytic.n): m.numeric for m in report.matches}
 
 
 def _point_payload(pt) -> dict:
-    plus, minus = pt.energies_plus, pt.energies_minus
     return {
         "C": pt.C,
-        "energies_plus": [_c(e) for e in plus],
-        "energies_minus": [_c(e) for e in minus],
-        "conjugacy_err": _conjugacy_error(plus, minus),
+        "energies_plus": [_c(e) for e in pt.energies_plus],
+        "energies_minus": [_c(e) for e in pt.energies_minus],
+        "conjugacy_err": _conjugacy_error(_tower_levels(pt.plus), _tower_levels(pt.minus)),
     }
 
 
@@ -524,39 +532,30 @@ def _cmd_bifurcation(cfg: RunConfig):
     data["c_grid"] = c_grid
     data["points"] = [_point_payload(pt) for pt in points]
 
-    exit_code = 0
-    # a value repeated bit for bit is verified once; -0.0 and 0.0 differ
-    verified = {}
-    if cfg.verify_at:
-        # (C, minus) is the PT image of (C, plus) and the same well as
-        # (-C, plus), so the scope takes one dense census for all three
-        with _census_scope():
-            for c_value in cfg.verify_at:
-                key = c_value.hex()
-                if key not in verified:
-                    pc = dataclasses.replace(p0, C=c_value)
-                    verified[key] = {branch: _verify(cfg, pc, branch) for branch in BranchSign}
-        checks = []
+    # one report per well: (C, minus) is the well (-C, plus) to the bit,
+    # so the plus branch at each signed coupling serves both branches,
+    # and repeated values, 0.0 and -0.0, and C and -C share their wells;
+    # a well and its PT image V(-x)* share one dense census
+    reports = {}
+    with _census_scope():
         for c_value in cfg.verify_at:
-            branch_reports = verified[c_value.hex()]
-            if not all(rep.passed for rep in branch_reports.values()):
-                exit_code = 1
-            numeric_conj = _conjugacy_error(
-                sorted(
-                    (m.numeric for m in branch_reports[BranchSign.PLUS].matches),
-                    key=energy_sort_key,
+            for w in (c_value, -c_value):
+                if w.hex() not in reports:
+                    reports[w.hex()] = _verify(cfg, dataclasses.replace(p0, C=w), BranchSign.PLUS)
+    pairs = [(c, reports[c.hex()], reports[(-c).hex()]) for c in cfg.verify_at]
+    if pairs:
+        data["verifications"] = [
+            {
+                "C": c_value,
+                "plus": _verify_payload(plus),
+                "minus": _verify_payload(minus),
+                "numeric_conjugacy_err": _conjugacy_error(
+                    _matched_levels(plus), _matched_levels(minus)
                 ),
-                [m.numeric for m in branch_reports[BranchSign.MINUS].matches],
-            )
-            checks.append(
-                {
-                    "C": c_value,
-                    "plus": _verify_payload(branch_reports[BranchSign.PLUS]),
-                    "minus": _verify_payload(branch_reports[BranchSign.MINUS]),
-                    "numeric_conjugacy_err": numeric_conj,
-                }
-            )
-        data["verifications"] = checks
+            }
+            for c_value, plus, minus in pairs
+        ]
+    exit_code = 0 if all(rep.passed for rep in reports.values()) else 1
 
     def rows():
         out = [
@@ -566,9 +565,9 @@ def _cmd_bifurcation(cfg: RunConfig):
             for s in towers
             for n, e in enumerate(s.energies)
         ]
-        for c_value in cfg.verify_at:
-            for branch, rep in verified[c_value.hex()].items():
-                out += _verify_rows(rep, c_value, branch)
+        for c_value, plus, minus in pairs:
+            out += _verify_rows(plus, c_value, BranchSign.PLUS)
+            out += _verify_rows(minus, c_value, BranchSign.MINUS)
         return out
 
     return data, rows, exit_code

@@ -38,10 +38,10 @@ bound_spectrum, whose polished states are the coarse Richardson
 members, and the h/2 grid for the one refining solve per state.
 The PT image V(-x)* of a well gives the operator J conj(H) J, whose
 eigenvalues are exactly the conjugates of H's; within a
-_census_scope, the census of a well is taken once and its image
-starts from the conjugates (bifurcation --verify-at checks both
-branches, which are PT images of each other). The image is still
-polished and certified on its own operator.
+_census_scope, a well whose image was censused starts from the
+conjugates of that census (bifurcation --verify-at verifies each well
+once, and the two branches at C are PT images of each other). The
+image is still polished and certified on its own operator.
 
 scipy, which is about two thirds of this package's import time, loads
 on the first solve or census, or the first read of eigvals, zgttrf or
@@ -411,8 +411,8 @@ def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> Eige
     )
 
 
-# census values by the bits of (t2, st, alpha, L, N, halvings), shared
-# within a _census_scope; None outside one, where every census is taken
+# census values by the bits of (t2, st, alpha, L, N, halvings), read
+# by the PT image within a _census_scope; None outside one
 _census_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "census_memo", default=None
 )
@@ -420,14 +420,15 @@ _census_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def _census_scope():
-    """Within the block, take one dense census per well up to PT image.
+    """Within the block, a well and its PT image share one dense census.
 
-    A well censused before on the same box grid and halving takes that
-    census; a well whose PT image V(-x)* was censused takes its
-    conjugates, which are the image operator's eigenvalues exactly
-    (J conj(H) J has the conjugate spectrum of H). The match is by the
-    bits of the coefficients, so signed zeros count. Only the shifts are
-    shared: each well is still polished on its own operator.
+    A well whose PT image V(-x)* was censused on the same box grid and
+    halving takes the conjugates of that census, which are its own
+    operator's eigenvalues exactly (J conj(H) J has the conjugate
+    spectrum of H). The match is by the bits of the coefficients, so
+    signed zeros count. Every other census is taken anew: callers verify
+    each well once. Only the shifts are shared: each well is still
+    polished on its own operator.
     """
     token = _census_memo.set({})
     try:
@@ -442,19 +443,18 @@ def _census_key(t2: complex, st: complex, alpha: float, grid: Grid, halvings: in
 
 
 def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[complex]:
+    """The dense census of v or, within a _census_scope, the conjugates
+    of its PT image's census when that was taken."""
     memo = _census_memo.get()
     if memo is None:
         return _dense_census(v, grid, halvings)
     t2, st = complex(v.t2), complex(v.st)
-    key = _census_key(t2, st, v.alpha, grid, halvings)
-    if key in memo:
-        return memo[key]
     image = memo.get(_census_key(t2.conjugate(), -st.conjugate(), v.alpha, grid, halvings))
     if image is not None:
         # a real value keeps Im +0.0, as the image's own census gives it,
         # so a mirror-exact well polishes from the very same shifts
         return sorted((complex(z.real, -z.imag or 0.0) for z in image), key=energy_sort_key)
-    memo[key] = values = _dense_census(v, grid, halvings)
+    memo[_census_key(t2, st, v.alpha, grid, halvings)] = values = _dense_census(v, grid, halvings)
     return values
 
 
@@ -518,27 +518,30 @@ def bound_spectrum(
     census values that polish to one state; when two values of the
     census land on one state, the census is taken once more at half its
     xi step and those values are polished too. Within a _census_scope,
-    a well whose census, or whose PT image's census, was taken on the
-    same box and step starts from that census or its conjugates; the
-    polish, the gates and the result are its own. seeds are optional
-    extra shifts, polished first. Runs converging to Re(E) >= re_limit are
-    discarded; re_limit = 0 is the continuum threshold of the
-    e0-subtracted operator, and callers may raise it to chase
-    normalizable states whose energy has crept past zero real part in
-    the broken phase.
+    a well whose PT image's census was taken on the same box and step
+    starts from its conjugates; the polish, the gates and the result
+    are its own. seeds are optional extra shifts, polished first. Runs
+    converging to Re(E) >= re_limit are discarded; re_limit = 0 is the
+    continuum threshold of the e0-subtracted operator, and callers may
+    raise it to chase normalizable states whose energy has crept past
+    zero real part in the broken phase.
 
     Raises:
-        DomainTooSmall: a converged state at Re(E) <= 0 still has
-            boundary amplitude above max_leak, so the box is clipping
-            it and its eigenvalue cannot be trusted. Leaky states at
-            positive real part are box artifacts of the truncated
-            continuum and are dropped instead. Also raised, naming the
-            size it would need, when a census needs more than
+        DomainTooSmall: a converged state still has boundary amplitude
+            above max_leak, so the box is clipping it and its eigenvalue
+            cannot be trusted. Only a leaky state that the census filter
+            would have dropped, at positive real part and decaying by
+            fewer than 10 e-folds over the half-width, is taken as box
+            continuum and dropped instead. Also raised, naming the size
+            it would need, when a census needs more than
             _MAX_CENSUS_POINTS points.
     """
     op = discretize(v, grid)
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
     accepted: list[EigenResult] = []
+
+    def continuum(z: complex) -> bool:
+        return z.real > 0.0 and _decay_rate(z) < min_decay
 
     def polish(shift: complex) -> int | None:
         # index in accepted of the state the shift converges to, if kept
@@ -550,7 +553,7 @@ def bound_spectrum(
         if res.energy.real >= re_limit:
             return None
         if res.boundary_leak > max_leak:
-            if res.energy.real > 0.0:
+            if continuum(res.energy):
                 return None
             raise DomainTooSmall(
                 f"state at E = {res.energy} leaks {res.boundary_leak:.3e} "
@@ -565,11 +568,7 @@ def bound_spectrum(
         return len(accepted) - 1
 
     def census(halvings: int) -> list[complex]:
-        return [
-            z
-            for z in _census(v, grid, halvings)
-            if z.real < re_limit and not (z.real > 0.0 and _decay_rate(z) < min_decay)
-        ]
+        return [z for z in _census(v, grid, halvings) if z.real < re_limit and not continuum(z)]
 
     for s in seeds:
         polish(complex(s))

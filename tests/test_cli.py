@@ -181,6 +181,29 @@ class TestVerify:
         assert code == 3
         assert "n = 1924" in err and "budget of 1500" in err
 
+    @pytest.mark.parametrize(
+        "well, c",
+        [
+            (("2", "3"), 1.0),
+            (("2.5", "3.2"), 0.05),
+            (("2", "2.5"), 0.5),
+            (("2", "3"), 0.0),
+            (("2", "3"), -0.0),
+        ],
+        ids=["(2, 3, 1)", "(2.5, 3.2, 0.05)", "(2, 2.5, 0.5) PT-degenerate", "(2, 3, 0)",
+             "(2, 3, -0.0)"],
+    )
+    def test_minus_branch_is_plus_branch_at_minus_c(self, capsys, well, c):
+        # bifurcation --verify-at reads (C, minus) from (-C, plus): the
+        # two reports agree byte for byte but for the labels of the call
+        well_argv = ["verify", "--A", well[0], "--B", well[1], "--C"]
+        minus_code, minus = run_json(capsys, well_argv + [repr(c), "--branch", "minus"])
+        plus_code, plus = run_json(capsys, well_argv + [repr(-c), "--branch", "plus"])
+        assert minus_code == plus_code
+        for d in (minus, plus):
+            del d["params"], d["branch"]
+        assert json.dumps(minus) == json.dumps(plus)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -366,7 +389,7 @@ class TestBifurcation:
         _, one_rows = run_csv(capsys, argv + ["--verify-at", "1"])
         calls.clear()
         code20, twenty = run_json(capsys, argv + ["--verify-at", "1"] * 20)
-        assert calls == [1.0, 1.0]
+        assert calls == [1.0, -1.0]
         _, twenty_rows = run_csv(capsys, argv + ["--verify-at", "1"] * 20)
         # the same bytes as verifying each copy anew
         assert code20 == code == 0
@@ -377,13 +400,13 @@ class TestBifurcation:
         calls.clear()
         zeros = ["--verify-at", "0", "--verify-at", "-0.0", "--verify-at", "0"]
         _, d = run_json(capsys, argv + zeros)
-        assert [math.copysign(1.0, c) for c in calls] == [1.0, 1.0, -1.0, -1.0]
+        assert [math.copysign(1.0, c) for c in calls] == [1.0, -1.0]
         assert [math.copysign(1.0, v["C"]) for v in d["verifications"]] == [1.0, -1.0, 1.0]
 
     def test_one_dense_census_per_well_up_to_pt_image(self, capsys, monkeypatch):
         # (1, minus) is the PT image of (1, plus) and the same well as
-        # (-1, plus): one dense eigensolve serves all four verifications,
-        # each of which still builds and polishes on its own operators
+        # (-1, plus): each of the two wells is verified once, on its own
+        # operators, and one dense eigensolve serves both
         eigvals, discretize = numerics.eigvals, numerics.discretize
         calls, wells = [], []
 
@@ -405,12 +428,48 @@ class TestBifurcation:
             code, d = run_json(capsys, argv)
             assert code == 0
             assert len(calls) == 1
-            assert len(wells) == 8 and len(set(wells)) == 2
+            assert len(wells) == 4 and len(set(wells)) == 2
             assert all(v["numeric_conjugacy_err"] <= 1e-9 for v in d["verifications"])
             assert numerics._census_memo.get() is None
         calls.clear()
         code, _ = run_json(capsys, ["verify", *A23])
         assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--A", "2", "--B", "2.5", "--steps", "3", "--verify-at", "0.5"],
+            ["--A", "1.5", "--B", "2.5", "--alpha", "2", "--verify-at", "0.4"],
+        ],
+        ids=["(2, 2.5, 0.5)", "(1.5, 2.5, 0.4, alpha 2)"],
+    )
+    def test_numeric_conjugacy_pairs_levels_by_label(self, capsys, argv):
+        # conjugate levels whose real parts differ by rounding cross over
+        # in an (Re, Im) sort; paired by (series, n) they agree
+        code, d = run_json(capsys, ["bifurcation", *argv])
+        assert code == 0
+        [check] = d["verifications"]
+        assert check["numeric_conjugacy_err"] <= 1e-9
+
+    def test_conjugacy_of_different_labels_is_none(self):
+        plus = {("series1", 0): -4 + 1j, ("series2", 0): -1 + 1j}
+        assert cli._conjugacy_error(plus, {("series1", 0): -4 - 1j}) is None
+        relabelled = {("series1", 0): -4 - 1j, ("series2", 1): -1 - 1j}
+        assert cli._conjugacy_error(plus, relabelled) is None
+        assert cli._conjugacy_error(plus, {k: e.conjugate() for k, e in plus.items()}) == 0.0
+        assert cli._conjugacy_error({}, {}) == 0.0
+
+    def test_leaky_state_off_the_continuum_exit_three(self, capsys):
+        # the plus well at C = 1.3 holds a state at E = 1.33 + 1.56i that
+        # decays too fast to be box continuum and still leaks through the
+        # auto-grown box: a numeric failure, not a FAIL that drops it
+        argv = ["bifurcation", "--A", "1.8", "--B", "3.1", "--steps", "2", "--verify-at", "1.3"]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: state at E = (1.33")
+        assert "+1.56" in captured.err and "enlarge the domain" in captured.err
 
 
 @st.composite
