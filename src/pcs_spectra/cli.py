@@ -56,7 +56,6 @@ __all__ = ["RunConfig", "SCHEMA_VERSION", "build_parser", "run", "main"]
 
 SCHEMA_VERSION = "1.0"
 
-_COMMANDS = ("analyze", "spectrum", "verify", "sl2", "bifurcation", "exchange")
 _CSV_COMMANDS = ("spectrum", "verify", "bifurcation")
 _CSV_HEADER = ("C", "branch", "series", "n", "re_E", "im_E", "residual")
 # largest bifurcation C grid, which is built whole before the sweep:

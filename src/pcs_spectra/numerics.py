@@ -23,8 +23,8 @@ value below the threshold by inverse iteration on the fine grid, and
 certifies every result by its own residual and its boundary leak, so
 no state is found because the formulas predicted it, and states they
 do not predict are found too. Every solve runs to its operator's
-certified_tol, DEFAULT_TOL or the matvec's rounding floor if larger,
-so a fine grid never chases a residual its arithmetic cannot reach.
+certified_tol, the matvec's rounding floor, and states within
+_MAX_CONDITION times it are one: no energy scale is set by hand.
 
 A PT-symmetric well (V(-x) = V(x)*) gives an operator H with J H J =
 conj(H), J the flip; the unitary Q = e^{-i pi/4} (I + i J) / sqrt(2)
@@ -71,7 +71,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "DEFAULT_TOL_MATCH",
     "Grid",
     "DiscretizedOperator",
@@ -115,13 +114,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-DEFAULT_TOL = 1e-10
 DEFAULT_TOL_MATCH = 1e-6
 # matching looks within max(1e-3, 10 tol_match) of each level, so a
 # larger tol_match would let one level capture states of its neighbours
 MAX_TOL_MATCH = 1e-3
 DEFAULT_POINTS = 4000
-# half-width in units of 1/alpha; sech^2(12) ~ 7e-11, below DEFAULT_TOL
+# half-width in units of 1/alpha; sech^2(12) ~ 7e-11 of the depth
 DEFAULT_HALF_WIDTH = 12.0
 # accepted bound states must have at most this much relative amplitude
 # on the outer five percent of the box, |x| >= 0.95 L
@@ -135,9 +133,9 @@ _STRETCH = 4.0
 _LEAK_HALF_WIDTH_FACTOR = 21.0
 # two converged runs reporting the same state can differ by roughly
 # residual times the eigenvalue condition number, and at a defective
-# (exceptional) point that conditioning reaches 1e4; physical level
-# spacings here are many orders larger, so 1e-6 separates states safely
-_DEDUPE_TOL = 1e-6
+# (exceptional) point that conditioning reaches 1e4; bound_spectrum
+# takes states within this many certified_tol of each other as one
+_MAX_CONDITION = 1e4
 # census values above the threshold that decay slower than this many
 # e-folds over the half-width are box continuum: they could only polish
 # into states the leak gate drops
@@ -234,19 +232,18 @@ class DiscretizedOperator:
     def certified_tol(self) -> float:
         """Residual tolerance of every eigen_near solve on this operator.
 
-        DEFAULT_TOL, floored at the rounding level of ||Hv - theta v||
-        for a unit vector: the matvec works with entries of size
-        2/dxi^2 over the well, so the residual of even an exact
-        eigenpair cannot drop below about eps * ||H||. The floor is
-        above DEFAULT_TOL on every default grid. Computed once per
+        The rounding level of ||Hv - theta v|| for a unit vector: the
+        matvec works with entries of size 2/dxi^2 over the well, so the
+        residual of even an exact eigenpair cannot drop below about
+        eps * ||H||. It scales with the operator, so a well rescaled by
+        x -> x/s has its tolerance scaled by s^2. Computed once per
         operator.
         """
         import numpy as np
 
         eps = float(np.finfo(np.float64).eps)
         off = float(np.abs(self.offdiag).max())
-        floor = 8.0 * eps * (2.0 * off + float(np.abs(self.diag).max()))
-        return max(DEFAULT_TOL, floor)
+        return 8.0 * eps * (2.0 * off + float(np.abs(self.diag).max()))
 
 
 @dataclass(frozen=True)
@@ -285,9 +282,13 @@ def _mapped_operator(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperato
     step = np.diff(x, prepend=-grid.L, append=grid.L)
     lo, hi = step[:-1], step[1:]
     weights = 0.5 * (lo + hi)
-    potential = v.evaluate(x, include_offset=False)
-    diag = (2.0 / (lo * hi) + potential).astype(np.complex128)
-    offdiag = -1.0 / (hi[:-1] * np.sqrt(weights[:-1] * weights[1:]))
+    # Grid checks h, but the nodes over the well sit closer than h
+    with np.errstate(over="ignore", divide="ignore"):
+        laplacian = 2.0 / (lo * hi)
+        offdiag = -1.0 / (hi[:-1] * np.sqrt(weights[:-1] * weights[1:]))
+    if not (np.isfinite(laplacian).all() and np.isfinite(offdiag).all()):
+        raise ValueError(f"node spacing {float(step.min())!r} is too small: 2/h^2 overflows")
+    diag = (laplacian + v.evaluate(x, include_offset=False)).astype(np.complex128)
     return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid, nodes=x, weights=weights)
 
 
@@ -437,8 +438,9 @@ def _census_scope():
         _census_memo.reset(token)
 
 
-def _census_key(t2: complex, st: complex, alpha: float, grid: Grid, halvings: int) -> tuple:
-    parts = (t2.real, t2.imag, st.real, st.imag, alpha, grid.L)
+def _census_key(v: PotentialCoefficients, grid: Grid, halvings: int) -> tuple:
+    t2, st = complex(v.t2), complex(v.st)
+    parts = (t2.real, t2.imag, st.real, st.imag, v.alpha, grid.L)
     return (*(float(x).hex() for x in parts), grid.N, halvings)
 
 
@@ -448,13 +450,12 @@ def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[com
     memo = _census_memo.get()
     if memo is None:
         return _dense_census(v, grid, halvings)
-    t2, st = complex(v.t2), complex(v.st)
-    image = memo.get(_census_key(t2.conjugate(), -st.conjugate(), v.alpha, grid, halvings))
+    image = memo.get(_census_key(v.pt_image(), grid, halvings))
     if image is not None:
         # a real value keeps Im +0.0, as the image's own census gives it,
         # so a mirror-exact well polishes from the very same shifts
         return sorted((complex(z.real, -z.imag or 0.0) for z in image), key=energy_sort_key)
-    memo[_census_key(t2, st, v.alpha, grid, halvings)] = values = _dense_census(v, grid, halvings)
+    memo[_census_key(v, grid, halvings)] = values = _dense_census(v, grid, halvings)
     return values
 
 
@@ -512,19 +513,19 @@ def bound_spectrum(
     operator on the same box with real part below re_limit, less those
     above zero real part that decay too slowly across the box to pass
     the leak gate. Each shift is polished by inverse iteration on the
-    given grid, to the operator's certified_tol, and eigenvalues
-    closer than 1e-6 are taken as the same state. The census resolves
-    levels only to a few hundredths, so two close levels can merge into
-    census values that polish to one state; when two values of the
-    census land on one state, the census is taken once more at half its
-    xi step and those values are polished too. Within a _census_scope,
-    a well whose PT image's census was taken on the same box and step
-    starts from its conjugates; the polish, the gates and the result
-    are its own. seeds are optional extra shifts, polished first. Runs
-    converging to Re(E) >= re_limit are discarded; re_limit = 0 is the
-    continuum threshold of the e0-subtracted operator, and callers may
-    raise it to chase normalizable states whose energy has crept past
-    zero real part in the broken phase.
+    given grid, to the operator's certified_tol, and eigenvalues closer
+    than _MAX_CONDITION times that tolerance are taken as the same
+    state. The census resolves levels only to a few hundredths, so two
+    close levels can merge into census values that polish to one state;
+    when two values of the census land on one state, the census is taken
+    once more at half its xi step and those values are polished too.
+    Within a _census_scope, a well whose PT image's census was taken on
+    the same box and step starts from its conjugates; the polish, the
+    gates and the result are its own. seeds are optional extra shifts,
+    polished first. Runs converging to Re(E) >= re_limit are discarded;
+    re_limit = 0 is the continuum threshold of the e0-subtracted
+    operator, and callers may raise it to chase normalizable states
+    whose energy has crept past zero real part in the broken phase.
 
     Raises:
         DomainTooSmall: a converged state still has boundary amplitude
@@ -560,7 +561,7 @@ def bound_spectrum(
                 f"through the box edge at L = {grid.L}; enlarge the domain"
             )
         for k, kept in enumerate(accepted):
-            if abs(kept.energy - res.energy) < _DEDUPE_TOL:
+            if abs(kept.energy - res.energy) < _MAX_CONDITION * op.certified_tol:
                 if res.residual < kept.residual:
                     accepted[k] = res
                 return k

@@ -250,6 +250,10 @@ class TestSl2:
         # h, or h^2, overflows, so the operator's 2/h^2 would be zero
         ["verify", "--A", "2", "--B", "3", "--L", "1e308"],
         ["verify", "--A", "2", "--B", "3", "--L", "1e160"],
+        # h passes, but the sinh map packs the nodes over the well closer
+        # than h, so 2/(h_i h_{i+1}) overflows there
+        ["verify", "--A", "2", "--B", "3", "--alpha", "3.5e151"],
+        ["verify", "--A", "2", "--B", "3", "--alpha", "5e151", "--no-auto-domain"],
         # finite inputs whose derived coefficients overflow
         ["spectrum", "--A", "1e300", "--B", "3"],
         ["sl2", "--A", "1e200", "--B", "1e200"],
@@ -260,7 +264,7 @@ class TestSl2:
          "--C-max", "1.7976931348623157e308", "--steps", "7"],
     ],
     ids=[
-        "tiny-box", "huge-box", "huge-box-h2",
+        "tiny-box", "huge-box", "huge-box-h2", "tiny-node-spacing", "tiny-node-spacing-fixed-box",
         "spectrum-overflow", "sl2-overflow", "analyze-overflow",
         "bifurcation-near-max-span",
     ],

@@ -322,8 +322,8 @@ class TestEigenNear:
         "p", [SusyParams(2, 3, 0, 1), SusyParams(2, 3, 1, 1), SusyParams(1, 0, 0, 1)]
     )
     def test_converges_on_twice_refined_default_grid(self, p):
-        # N = 16,003: the matvec's rounding floor, 8.6e-9, is above
-        # DEFAULT_TOL, so a solve held to DEFAULT_TOL could never stop
+        # N = 16,003: the matvec's rounding floor, 8.6e-9, is the
+        # tolerance, so a solve never chases a residual below it
         op = discretize(pcs_partner_coefficients(p, PLUS), default_grid().refined().refined())
         assert op.certified_tol > 1e-9
         for series in two_series_spectrum(p):
@@ -354,8 +354,8 @@ class TestBoundSpectrum:
                 id="poschl-teller",
             ),
             pytest.param(
-                # spacing so small that the rounding floor of the
-                # residual is above the default tolerance
+                # spacing so small that the residual's rounding floor,
+                # the solves' tolerance, is 1.7e-8 (1.5e-10 at N = 2750)
                 POSCHL_TELLER_3, Grid(L=22.0, N=30000), 0.0,
                 [(-9, 1), (-4, 1), (-1, 1)],
                 id="fine-grid",
@@ -401,6 +401,41 @@ class TestBoundSpectrum:
     def test_clipped_state_raises(self):
         with pytest.raises(DomainTooSmall):
             bound_spectrum(POSCHL_TELLER_3, Grid(L=3.0, N=600), seeds=[-1.0])
+
+    @pytest.mark.parametrize(
+        "seed, re_limit, max_leak",
+        [
+            # polishes to the box continuum at E ~ 0.487, at or above
+            # re_limit; with no leak gate, only re_limit can drop it
+            pytest.param(0.5, 0.0, 1.0, id="re-limit"),
+            # polishes to E ~ 0.288, below re_limit but leaking through
+            # the walls and decaying by ~0 e-folds: dropped as continuum,
+            # not raised as a clipped state
+            pytest.param(0.3, 1.0, numerics.DEFAULT_MAX_LEAK, id="continuum"),
+        ],
+    )
+    def test_seed_in_the_continuum_is_dropped(self, monkeypatch, seed, re_limit, max_leak):
+        v = pcs_partner_coefficients(SusyParams(2, 3, 0, 1), PLUS)
+        g = Grid(L=42.0, N=2000)
+        want = [r.energy for r in bound_spectrum(v, g)]
+        polished = []
+
+        def eigen_recording(op, shift, *args, **kwargs):
+            polished.append(eigen_near(op, shift, *args, **kwargs))
+            return polished[-1]
+
+        monkeypatch.setattr(numerics, "eigen_near", eigen_recording)
+        got = bound_spectrum(v, g, seeds=[seed], re_limit=re_limit, max_leak=max_leak)
+        assert [r.energy for r in got] == want
+        # the seed is polished first, and its state reached the gate
+        state = polished[0]
+        if seed == 0.5:
+            assert state.energy.real >= re_limit
+        else:
+            assert state.energy.real < re_limit
+            assert state.boundary_leak > max_leak
+            assert state.energy.real > 0.0
+            assert numerics._decay_rate(state.energy) < numerics._CENSUS_MIN_DECAY_FOLDS / g.L
 
     def test_re_limit_extends_search(self):
         # C = 1 well holds a normalizable state at Re E = +0.75
@@ -564,6 +599,78 @@ class TestVerifySpectrum:
 )
 def test_depth_envelope(params):
     assert verify_spectrum(params).passed
+
+
+# (2s, 3s, 0, s) is (2, 3) in the unit x -> x/s, with every level scaled
+# by s^2. The solver takes its tolerances from the operator, so neither
+# the verdict nor the relative error should depend on s. Two absolute
+# energy scales remain, and each pins an end of the axis
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(
+            1e-5,
+            id="1e-5",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=DomainTooSmall,
+                reason="the absolute 1e-9 merge of coinciding analytic levels folds all "
+                "five levels into one, so the box is sized from the deepest",
+            ),
+        ),
+        pytest.param(1e-4, id="1e-4"),
+        pytest.param(1e-3, id="1e-3"),
+        pytest.param(1e-2, id="1e-2"),
+        pytest.param(1.0, id="1"),
+        pytest.param(30.0, id="30"),
+        pytest.param(
+            100.0,
+            id="100",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="FAIL with max |dE| 2.8e-6 against the absolute tol_match 1e-6, "
+                "a relative error of 2.8e-10",
+            ),
+        ),
+        pytest.param(
+            1000.0,
+            id="1000",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="FAIL with max |dE| 6.7e-4 against the absolute tol_match 1e-6, "
+                "a relative error of 6.7e-10",
+            ),
+        ),
+    ],
+)
+def test_scale_envelope(s):
+    rep = verify_spectrum(SusyParams(2 * s, 3 * s, 0, s))
+    assert rep.passed
+    assert rep.max_abs_err <= 2.1e-9 * s * s
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-2], ids=["1e-4", "1e-3", "1e-2"])
+@pytest.mark.parametrize(
+    "params, branch",
+    [
+        pytest.param(SusyParams(2, 3, 0.5, 1), MINUS, id="(2, 3, 0.5) minus"),
+        pytest.param(SusyParams(2, 3, 1, 1), MINUS, id="(2, 3, 1) minus"),
+        pytest.param(SusyParams(2.5, 3.2, 0, 1), PLUS, id="(2.5, 3.2)"),
+        pytest.param(SusyParams(2, 2.5, 0, 1), PLUS, id="(2, 2.5)"),
+        pytest.param(SusyParams(1.5, 2.5, 0, 2), PLUS, id="(1.5, 2.5, alpha 2)"),
+        pytest.param(SusyParams(0.7, 2.9, 1.3, 0.6), MINUS, id="(0.7, 2.9, 1.3, alpha 0.6) minus"),
+        # the towers nearly cross: with absolute solver tolerances this
+        # well FAILed at s = 1e-3
+        pytest.param(SusyParams(3.2, 2.15, 0, 2), PLUS, id="(3.2, 2.15, alpha 2)"),
+    ],
+)
+def test_small_scale_wells_pass(params, branch, s):
+    # each well in a unit where its levels are 1e-8 to 1e-4 of the
+    # original: solves and merges scale with the operator
+    scaled = SusyParams(*(s * x for x in dataclasses.astuple(params)))
+    assert verify_spectrum(scaled, branch=branch).passed
 
 
 def true_wells():

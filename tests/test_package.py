@@ -42,7 +42,6 @@ EXPORTS = {
         "bifurcation_scan",
     },
     "pcs_spectra.numerics": {
-        "DEFAULT_TOL",
         "DEFAULT_TOL_MATCH",
         "Grid",
         "DiscretizedOperator",
@@ -80,7 +79,7 @@ EXPORTS = {
 
 def test_all_lists_exactly_the_public_names_once():
     names = pcs_spectra.__all__
-    assert len(names) == len(set(names)) == 52
+    assert len(names) == len(set(names)) == 51
     assert set(names) == set().union(*EXPORTS.values())
 
 
