@@ -41,14 +41,7 @@ from .core import (
     susy_to_physical,
 )
 from .errors import PcsSpectraError
-from .numerics import (
-    DEFAULT_TOL_MATCH,
-    MAX_TOL_MATCH,
-    Grid,
-    _census_scope,
-    default_grid,
-    verify_spectrum,
-)
+from .numerics import Grid, _census_scope, default_grid, verify_spectrum
 from .sl2 import Sl2Params, _correspondence_residuals, m_square_identities, solve_correspondence
 from .spectra import bifurcation_scan, two_series_spectrum
 
@@ -87,7 +80,6 @@ class RunConfig:
     branch: BranchSign = BranchSign.PLUS
     L: float | None = None
     N: int | None = None
-    tol_match: float = DEFAULT_TOL_MATCH
     auto_domain: bool = True
     out: str | None = None
     format: str = "json"
@@ -104,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         "with independent numerical verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # no abbreviations: a removed flag must fail rather than silently
-    # become a longer one (--tol would be read as --tol-match)
+    # no abbreviations: a removed or mistyped flag must fail rather than
+    # silently become a longer one (--verify would be read as --verify-at)
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(sp: argparse.ArgumentParser) -> None:
@@ -123,12 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     def gridded(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--L", type=float, default=None, help="half-width of the box")
         sp.add_argument("--N", type=int, default=None, help="interior grid points")
-        sp.add_argument(
-            "--tol-match",
-            type=float,
-            default=None,
-            help=f"analytic/numeric match tolerance, at most {MAX_TOL_MATCH:g}",
-        )
         sp.add_argument(
             "--no-auto-domain",
             action="store_true",
@@ -284,9 +270,6 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
     if merged.keys() != _CONFIG_FIELDS.keys():
         raise UsageError("--A and --B are required (flags or config)")
     _number("L", merged["L"], positive=True)
-    _number("tol-match", merged["tol_match"], positive=True)
-    if merged["tol_match"] > MAX_TOL_MATCH:
-        raise UsageError(f"--tol-match must be at most {MAX_TOL_MATCH}, got {merged['tol_match']}")
     _number("C-min", merged["c_min"])
     _number("C-max", merged["c_max"])
     count = len(merged["verify_at"])
@@ -445,7 +428,7 @@ def _verify(cfg: RunConfig, p: SusyParams, branch: BranchSign):
     # --L and --N are positive when set, so `or` falls back only on None
     base = default_grid(p.alpha)
     grid = Grid(L=cfg.L or base.L, N=cfg.N or base.N)
-    return verify_spectrum(p, grid, cfg.tol_match, branch=branch, auto_domain=cfg.auto_domain)
+    return verify_spectrum(p, grid, branch=branch, auto_domain=cfg.auto_domain)
 
 
 def _cmd_verify(cfg: RunConfig):

@@ -115,9 +115,6 @@ def __getattr__(name: str):
 
 
 DEFAULT_TOL_MATCH = 1e-6
-# matching looks within max(1e-3, 10 tol_match) of each level, so a
-# larger tol_match would let one level capture states of its neighbours
-MAX_TOL_MATCH = 1e-3
 DEFAULT_POINTS = 4000
 # half-width in units of 1/alpha; sech^2(12) ~ 7e-11 of the depth
 DEFAULT_HALF_WIDTH = 12.0
@@ -616,8 +613,8 @@ class VerificationReport:
     """Outcome of pairing the analytic towers with the numeric spectrum.
 
     passed is true exactly when every analytic level found a numeric
-    partner within tol_match, nothing numeric was left over, and the
-    worst pairing error stayed within tol_match.
+    partner, nothing numeric was left over, and the worst pairing error
+    stayed within tol_match, which is always DEFAULT_TOL_MATCH.
     """
 
     passed: bool
@@ -645,7 +642,7 @@ def _analytic_levels(p: SusyParams, branch: BranchSign) -> list[AnalyticLevel]:
     # towers; keep one level and record the doubled multiplicity
     merged: list[AnalyticLevel] = []
     for lv in levels:
-        if merged and abs(merged[-1].energy - lv.energy) <= 1e-9:
+        if merged and abs(merged[-1].energy - lv.energy) <= 1e-9 * p.alpha**2:
             prev = merged[-1]
             merged[-1] = AnalyticLevel(
                 series=f"{prev.series}+{lv.series}",
@@ -679,29 +676,28 @@ def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
     return Grid(L=need, N=_points(need, alpha, _xi_step(base, alpha)))
 
 
-def _greedy_match(levels, numeric, radius):
+def _greedy_match(levels, numeric):
     # nearest-pair assignment with per-level capacity: a level of
-    # multiplicity k absorbs up to k numeric eigenvalues. A defective
-    # level is split by the h^2 perturbation into a cluster on the
-    # sqrt scale, far wider than a simple level's matching error, so
-    # its capture radius opens up accordingly.
-    radii = [radius if lv.multiplicity == 1 else max(radius, 1e-2) for lv in levels]
+    # multiplicity k absorbs up to k numeric eigenvalues. A simple level
+    # captures within 1e-3, a thousand times DEFAULT_TOL_MATCH. A
+    # defective level is split by the h^2 perturbation into a cluster on
+    # the sqrt scale, far wider than a simple level's matching error, so
+    # its capture radius opens up to 1e-2. Taking the pairs in (distance,
+    # level, state) order is the repeated nearest-pair scan: a pair whose
+    # level filled up or whose state was taken never becomes valid again.
     assigned: list[list[int]] = [[] for _ in levels]
     free = set(range(len(numeric)))
-    while free:
-        best = None
-        for i, lv in enumerate(levels):
-            if len(assigned[i]) >= lv.multiplicity:
-                continue
-            for j in free:
-                dist = abs(lv.energy - numeric[j].energy)
-                if dist <= radii[i] and (best is None or dist < best[0]):
-                    best = (dist, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        assigned[i].append(j)
-        free.remove(j)
+    radii = [1e-3 if lv.multiplicity == 1 else 1e-2 for lv in levels]
+    pairs = sorted(
+        (dist, i, j)
+        for i, lv in enumerate(levels)
+        for j, r in enumerate(numeric)
+        if (dist := abs(lv.energy - r.energy)) <= radii[i]
+    )
+    for _, i, j in pairs:
+        if j in free and len(assigned[i]) < levels[i].multiplicity:
+            assigned[i].append(j)
+            free.remove(j)
     left = [i for i in range(len(levels)) if not assigned[i]]
     return assigned, left, sorted(free)
 
@@ -709,7 +705,6 @@ def _greedy_match(levels, numeric, radius):
 def verify_spectrum(
     p: SusyParams,
     grid: Grid | None = None,
-    tol_match: float = DEFAULT_TOL_MATCH,
     *,
     branch: BranchSign = BranchSign.PLUS,
     auto_domain: bool = True,
@@ -723,26 +718,22 @@ def verify_spectrum(
     slowest-decaying predicted state fits with boundary leak under
     DEFAULT_MAX_LEAK. Every numeric eigenvalue is Richardson refined
     before matching, since the raw second-order discretization error
-    at the default step is above tol_match: the state bound_spectrum
-    polished on the box grid is the coarse member, and the h/2 grid is
-    discretized once for all states. Matching is greedy nearest-pair
-    with capacity equal to the predicted multiplicity: a
+    at the default step is above DEFAULT_TOL_MATCH: the state
+    bound_spectrum polished on the box grid is the coarse member, and
+    the h/2 grid is discretized once for all states. Matching is greedy
+    nearest-pair with capacity equal to the predicted multiplicity: a
     doubly-predicted (defective) level absorbs the conjugate pair the
     discretization splits it into, and is reported once, at the
     cluster mean, where the splitting cancels to second order. The
     report PASSes only if every analytic level took at least one
     numeric partner, no numeric state is left over, and the worst
-    pairing error is within tol_match.
+    pairing error is within DEFAULT_TOL_MATCH.
 
     Raises:
-        ValueError: tol_match is not in (0, MAX_TOL_MATCH]; a larger
-            one would let a level capture its neighbours' states.
         DomainTooSmall: with auto_domain=False, when the base grid
             clips a bound state (this is also how a deliberately small
             box fails loudly rather than returning polluted numbers).
     """
-    if not 0.0 < tol_match <= MAX_TOL_MATCH:
-        raise ValueError(f"tol_match must be in (0, {MAX_TOL_MATCH}], got {tol_match!r}")
     base = grid if grid is not None else default_grid(p.alpha)
     levels = _analytic_levels(p, branch)
     v = pcs_partner_coefficients(p, branch)
@@ -753,8 +744,7 @@ def verify_spectrum(
     fine_op = discretize(v, geff.refined())
     refined = [refine_eigenvalue(r, fine_op) for r in raw]
 
-    radius = max(1e-3, 10.0 * tol_match)
-    assigned, left, right = _greedy_match(levels, refined, radius)
+    assigned, left, right = _greedy_match(levels, refined)
     matches = []
     for i, js in enumerate(assigned):
         if not js:
@@ -776,7 +766,7 @@ def verify_spectrum(
     matches.sort(key=lambda m: energy_sort_key(m.analytic.energy))
     matches = tuple(matches)
     max_err = max((m.abs_err for m in matches), default=0.0)
-    passed = not left and not right and max_err <= tol_match
+    passed = not left and not right and max_err <= DEFAULT_TOL_MATCH
     return VerificationReport(
         passed=passed,
         params=p,
@@ -784,7 +774,7 @@ def verify_spectrum(
         base_grid=base,
         grid=geff,
         re_limit=re_limit,
-        tol_match=tol_match,
+        tol_match=DEFAULT_TOL_MATCH,
         matches=matches,
         unmatched_analytic=tuple(levels[i] for i in left),
         unmatched_numeric=tuple(refined[j] for j in right),

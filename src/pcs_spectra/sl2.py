@@ -186,8 +186,6 @@ def solve_correspondence(
     pairs: list[tuple[complex, complex]] = []
     for y in _quartic_roots_y(t2, st, a):
         b = cmath.sqrt(y)
-        if b == 0:
-            continue
         # clamp rounding dust before picking the orbit member, so the
         # true sign of b decides, not a 1e-17 real part on a purely
         # imaginary root

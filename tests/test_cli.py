@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pcs_spectra
 import pcs_spectra.spectra
-from pcs_spectra import DEFAULT_TOL_MATCH, BranchSign, SusyParams, cli, numerics
+from pcs_spectra import BranchSign, SusyParams, cli, numerics
 from pcs_spectra.cli import RunConfig, assemble_config, build_parser, run
 
 A23 = ["--A", "2", "--B", "3", "--alpha", "1"]
@@ -33,6 +36,25 @@ def run_csv(capsys, argv):
     out = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(out)))
     return code, rows
+
+
+def edited_prediction(edit1=tuple, edit2=tuple):
+    # verify against edited towers: the numeric states are untouched, so
+    # the report shows what the edit left unmatched or off
+    two_series = numerics.two_series_spectrum
+
+    def edited(*args, **kwargs):
+        s1, s2 = two_series(*args, **kwargs)
+        return (
+            dataclasses.replace(s1, energies=edit1(s1.energies)),
+            dataclasses.replace(s2, energies=edit2(s2.energies)),
+        )
+
+    return mock.patch.object(numerics, "two_series_spectrum", edited)
+
+
+def shifted_by(shift):
+    return lambda energies: tuple(e + shift for e in energies)
 
 
 class TestAnalyze:
@@ -101,25 +123,18 @@ class TestVerify:
         assert d["matches"] == d["unmatched_analytic"] == d["unmatched_numeric"] == []
 
     def test_fail_exit_one(self, capsys):
-        code, d = run_json(
-            capsys,
-            ["verify", "--A", "2.5", "--B", "3.2", "--tol-match", "1e-14"],
-        )
+        # every level finds its state, but series2 is predicted 1e-4 off
+        with edited_prediction(edit2=shifted_by(1e-4)):
+            code, d = run_json(capsys, ["verify", "--A", "2.5", "--B", "3.2"])
         assert code == 1
         assert d["passed"] is False
+        assert d["unmatched_analytic"] == d["unmatched_numeric"] == []
+        assert d["max_abs_err"] == pytest.approx(1e-4, rel=1e-3)
 
     @staticmethod
     def _run_with_series1(capsys, edit):
-        # verify (2, 3, 0) against an edited series1: the numeric states
-        # are untouched, so the report shows what the edit left unmatched
-        two_series = numerics.two_series_spectrum
-
-        def edited(*args, **kwargs):
-            s1, s2 = two_series(*args, **kwargs)
-            return dataclasses.replace(s1, energies=edit(s1.energies)), s2
-
         argv = ["verify", "--A", "2", "--B", "3", "--C", "0"]
-        with mock.patch.object(numerics, "two_series_spectrum", edited):
+        with edited_prediction(edit1=edit):
             code, d = run_json(capsys, argv)
             csv_code, rows = run_csv(capsys, argv)
         assert code == csv_code == 1
@@ -372,8 +387,9 @@ class TestBifurcation:
         assert checks[0]["numeric_conjugacy_err"] <= 1e-6
 
     def test_verify_at_fail_exit_one(self, capsys):
-        argv = ["bifurcation", *A23, "--steps", "2", "--verify-at", "0", "--tol-match", "1e-14"]
-        code, d = run_json(capsys, argv)
+        argv = ["bifurcation", *A23, "--steps", "2", "--verify-at", "0"]
+        with edited_prediction(edit2=shifted_by(1e-4)):
+            code, d = run_json(capsys, argv)
         assert code == 1
         [check] = d["verifications"]
         assert check["plus"]["passed"] is False and check["minus"]["passed"] is False
@@ -527,8 +543,6 @@ class TestUsageErrors:
         assert run(["analyze", "--A", "2", "--B", "3", "--alpha", "0"]) == 2
         # non-finite values are usage errors, never a crash or a PASS
         assert run(["verify", "--A", "2", "--B", "3", "--L", "inf"]) == 2
-        assert run(["verify", "--A", "2", "--B", "3", "--tol-match", "inf"]) == 2
-        assert run(["verify", "--A", "2", "--B", "3", "--tol-match", "nan"]) == 2
         assert run(["analyze", "--A", "2", "--B", "3", "--C", "nan"]) == 2
         # the residual tolerance is fixed, so neither flag nor key sets it
         assert run(["verify", "--A", "2", "--B", "3", "--tol", "1e-9"]) == 2
@@ -542,16 +556,17 @@ class TestUsageErrors:
             assert run(["bifurcation", *A23, "--config", str(cfg)]) == 2
             assert "finite" in capsys.readouterr().err
 
-    def test_tol_match_above_bound(self, capsys, tmp_path):
-        # matching looks within 10 tol_match of each level, so a huge
-        # value would certify any well; flag and config are both capped
-        assert run(["verify", *A23, "--tol-match", "1e300"]) == 2
-        assert "--tol-match must be at most" in capsys.readouterr().err
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tol_match": 0.002}')
-        assert run(["verify", *A23, "--config", str(cfg)]) == 2
+    def test_match_tolerance_is_fixed(self, capsys, tmp_path):
+        # every verdict is judged at DEFAULT_TOL_MATCH, so neither flag
+        # nor key moves the bar, whatever the value
+        for value in ("1e-3", "1e300", "inf", "nan"):
+            assert run(["verify", *A23, "--tol-match", value]) == 2
+            assert "unrecognized arguments: --tol-match" in capsys.readouterr().err
         assert run(["bifurcation", *A23, "--verify-at", "1", "--tol-match", "1e-2"]) == 2
-        assert run(["verify", *A23, "--tol-match", "1e-3"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol_match": 1e-3}')
+        assert run(["verify", *A23, "--config", str(cfg)]) == 2
+        assert "unknown config field 'tol_match'" in capsys.readouterr().err
 
     def test_bad_scan_bounds(self, capsys, tmp_path):
         assert run(["bifurcation", *A23, "--C-min", "1", "--C-max", "0"]) == 2
@@ -664,9 +679,12 @@ class TestConfig:
             ('{"verify_at": 1}', "config field 'verify_at' must be a list of numbers, got 1"),
             ('{"verify_at": [true]}', "config field 'verify_at' must contain only numbers"),
             ('{"format": "xml"}', "--format must be json or csv, got 'xml'"),
+            ('{"L": "6"}', "config field 'L' must be a number, got '6'"),
+            ('{"auto_domain": 1}', "config field 'auto_domain' must be true/false, got 1"),
+            ('{"branch": 1}', "config field 'branch' must be a string, got 1"),
         ],
         ids=["list", "not-json", "params-number", "params-key", "verify-at-number",
-             "verify-at-bool", "format"],
+             "verify-at-bool", "format", "L-string", "auto-domain-number", "branch-number"],
     )
     def test_malformed_config_exit_two(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"
@@ -686,7 +704,6 @@ class TestConfig:
             "branch": "minus",
             "L": 30,
             "N": 1200,
-            "tol_match": 1e-6,
             "auto_domain": False,
             "out": "scan.csv",
             "format": "json",
@@ -702,7 +719,6 @@ class TestConfig:
             branch=BranchSign.MINUS,
             L=30.0,
             N=1200,
-            tol_match=1e-6,
             auto_domain=False,
             out="scan.csv",
             format="json",
@@ -722,7 +738,6 @@ class TestConfig:
             branch=BranchSign.PLUS,
             L=None,
             N=None,
-            tol_match=DEFAULT_TOL_MATCH,
             auto_domain=True,
             out=None,
             format="json",
@@ -757,6 +772,29 @@ class TestDeterminism:
         assert run(["spectrum", "--A", "2.5", "--B", "3.2", "--out", str(out)]) == 0
         raw = out.read_bytes()
         assert b"\r" not in raw and raw.decode("utf-8")
+
+
+def test_module_entry_point():
+    # python -m pcs_spectra.cli runs main(), which exits with run()'s
+    # code, in a new interpreter on this source tree
+    src = os.path.dirname(os.path.dirname(pcs_spectra.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "pcs_spectra.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    done = module("analyze", "--A", "2", "--B", "3")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["schema_version"] == "1.0"
+    done = module("verify", "--A", "2", "--B", "3", "--L", "6", "--no-auto-domain")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and "enlarge the domain" in line
 
 
 class TestParserReuse:
