@@ -8,7 +8,8 @@ CSV, and build their rows only when CSV is asked for. All output is
 deterministic: fixed field order, shortest round-trip floats, LF line
 endings. JSON is written by _to_json, byte for byte json.dumps(indent=2)
 at a fraction of its cost: json takes its pure-Python generator encoder
-whenever it indents.
+whenever it indents. Payloads carry complex numbers as they are, and the
+writer spells each one as the object {"re": ..., "im": ...}.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL,
 2 usage or config error, or a report that cannot be written to --out,
@@ -20,6 +21,7 @@ error message is printed to stderr verbatim).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import functools
@@ -52,7 +54,7 @@ SCHEMA_VERSION = "1.0"
 _CSV_COMMANDS = ("spectrum", "verify", "bifurcation")
 _CSV_HEADER = ("C", "branch", "series", "n", "re_E", "im_E", "residual")
 # largest bifurcation C grid, which is built whole before the sweep:
-# 10,000 steps of (2, 3) take 1.1 s and print 11 MB of JSON on a 2-vCPU
+# 10,000 steps of (2, 3) take 0.9 s and print 11 MB of JSON on a 2-vCPU
 # VM, and both grow linearly with the step count
 MAX_STEPS = 10_000
 # most --verify-at values; each distinct well, the plus branch at C or
@@ -304,10 +306,6 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _c(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _params_dict(p: SusyParams) -> dict:
     return {"A": p.A, "B": p.B, "C": p.C, "alpha": p.alpha}
 
@@ -332,12 +330,12 @@ def _cmd_analyze(cfg: RunConfig):
         "constraint_residual": report.constraint_residual,
         "degenerate_branch": report.degenerate_branch,
     }
-    data["coefficients"] = {"t2": _c(v.t2), "st": _c(v.st), "e0": _c(v.e0)}
+    data["coefficients"] = {"t2": v.t2, "st": v.st, "e0": v.e0}
     data["superpotentials"] = [
         {
-            "lam": _c(sw.lam),
-            "mu": _c(sw.mu),
-            "factorization_energy": _c(sw.factorization_energy),
+            "lam": sw.lam,
+            "mu": sw.mu,
+            "factorization_energy": sw.factorization_energy,
         }
         for sw in (w, wx)
     ]
@@ -354,8 +352,8 @@ def _cmd_spectrum(cfg: RunConfig):
     data["series"] = [
         {
             "label": s.label,
-            "factorization_energy": _c(s.factorization_energy),
-            "energies": [_c(e) for e in s.energies],
+            "factorization_energy": s.factorization_energy,
+            "energies": s.energies,
         }
         for s in (s1, s2)
     ]
@@ -388,8 +386,8 @@ def _verify_payload(report) -> dict:
             {
                 "series": m.analytic.series,
                 "n": m.analytic.n,
-                "analytic": _c(m.analytic.energy),
-                "numeric": _c(m.numeric),
+                "analytic": m.analytic.energy,
+                "numeric": m.numeric,
                 "abs_err": m.abs_err,
                 "residual": m.residual,
                 "boundary_leak": m.boundary_leak,
@@ -397,11 +395,11 @@ def _verify_payload(report) -> dict:
             for m in report.matches
         ],
         "unmatched_analytic": [
-            {"series": lv.series, "n": lv.n, "energy": _c(lv.energy)}
+            {"series": lv.series, "n": lv.n, "energy": lv.energy}
             for lv in report.unmatched_analytic
         ],
         "unmatched_numeric": [
-            {"energy": _c(r.energy), "residual": r.residual, "boundary_leak": r.boundary_leak}
+            {"energy": r.energy, "residual": r.residual, "boundary_leak": r.boundary_leak}
             for r in report.unmatched_numeric
         ],
     }
@@ -449,8 +447,8 @@ def _cmd_sl2(cfg: RunConfig):
         m2 = m * m
         solutions.append(
             {
-                "m": _c(m),
-                "b": _c(b),
+                "m": m,
+                "b": b,
                 "residuals": res,
                 "max_residual": max(map(abs, res)),
                 "identity_errs": [
@@ -482,8 +480,8 @@ def _matched_levels(report) -> dict:
 def _point_payload(pt) -> dict:
     return {
         "C": pt.C,
-        "energies_plus": [_c(e) for e in pt.energies_plus],
-        "energies_minus": [_c(e) for e in pt.energies_minus],
+        "energies_plus": pt.energies_plus,
+        "energies_minus": pt.energies_minus,
         "conjugacy_err": _conjugacy_error(_tower_levels(pt.plus), _tower_levels(pt.minus)),
     }
 
@@ -567,8 +565,8 @@ def _cmd_exchange(cfg: RunConfig):
     data["roundtrip"] = _params_dict(back)
     data["involution_exact"] = back == p
     data["coefficients"] = {
-        "original": {"t2": _c(v1.t2), "st": _c(v1.st), "e0": _c(v1.e0)},
-        "exchanged": {"t2": _c(v2.t2), "st": _c(v2.st), "e0": _c(v2.e0)},
+        "original": {"t2": v1.t2, "st": v1.st, "e0": v1.e0},
+        "exchanged": {"t2": v2.t2, "st": v2.st, "e0": v2.e0},
     }
     data["profile_invariance_err"] = max(abs(v1.t2 - v2.t2), abs(v1.st - v2.st))
     return data, None, 0
@@ -584,9 +582,19 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _layout(indent: str) -> tuple[str, str, str]:
+    """The inner indent, the item separator, and the template of a
+    complex written as {"re": ..., "im": ...}, for a value at indent."""
+    inner = indent + "  "
+    leaf = "{\n" + inner + '"re": %s,\n' + inner + '"im": %s\n' + indent + "}"
+    return inner, ",\n" + inner, leaf
+
+
 def _to_json(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2) for the values a report holds: dicts
-    with str keys, lists, tuples, str, int, float, bool and None."""
+    with str keys, lists, tuples, str, int, float, bool and None, with
+    each complex z written as the dict {"re": z.real, "im": z.imag}."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, float):
@@ -598,6 +606,8 @@ def _to_json(obj, indent: str = "") -> str:
         if obj == -math.inf:
             return "-Infinity"
         return float.__repr__(obj)
+    if isinstance(obj, complex):
+        return _layout(indent)[2] % (_to_json(obj.real), _to_json(obj.imag))
     if obj is None:
         return "null"
     if obj is True:
@@ -606,8 +616,7 @@ def _to_json(obj, indent: str = "") -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
+    inner, sep, _ = _layout(indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -616,7 +625,17 @@ def _to_json(obj, indent: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[\n" + inner + sep.join([_to_json(v, inner) for v in obj]) + "\n" + indent + "]"
+        # a finite complex is formatted in place: str of a float part is
+        # its shortest round-trip repr, as json writes it; a non-finite
+        # part, or a subclass's part (numpy's), takes the float path
+        leaf = _layout(inner)[2]
+        items = [
+            leaf % (v.real, v.imag)
+            if type(v) is complex and cmath.isfinite(v)
+            else _to_json(v, inner)
+            for v in obj
+        ]
+        return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -57,6 +57,15 @@ def shifted_by(shift):
     return lambda energies: tuple(e + shift for e in energies)
 
 
+def same_bits(written, z):
+    # a complex parsed back from {"re", "im"} is z to the bit, the sign
+    # of a zero part included
+    return all(
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+        for a, b in ((written["re"], z.real), (written["im"], z.imag))
+    )
+
+
 class TestAnalyze:
     def test_worked_example(self, capsys):
         code, d = run_json(capsys, ["analyze", *A23, "--C", "0", "--branch", "plus"])
@@ -130,6 +139,17 @@ class TestVerify:
         assert d["passed"] is False
         assert d["unmatched_analytic"] == d["unmatched_numeric"] == []
         assert d["max_abs_err"] == pytest.approx(1e-4, rel=1e-3)
+
+    def test_report_energies_are_the_verifier_s(self, capsys):
+        code, d = run_json(capsys, ["verify", *A23, "--C", "1"])
+        p = SusyParams(A=2.0, B=3.0, C=1.0, alpha=1.0)
+        report = numerics.verify_spectrum(p, numerics.default_grid(1.0))
+        assert code == 0 and report.passed
+        assert len(d["matches"]) == len(report.matches) == 5
+        for written, m in zip(d["matches"], report.matches):
+            assert same_bits(written["analytic"], m.analytic.energy)
+            assert same_bits(written["numeric"], m.numeric)
+        assert d["unmatched_analytic"] == d["unmatched_numeric"] == []
 
     @staticmethod
     def _run_with_series1(capsys, edit):
@@ -315,6 +335,32 @@ class TestBifurcation:
         assert len(d["points"]) == 11
         assert d["points"][0]["conjugacy_err"] == 0.0
         assert all(pt["conjugacy_err"] <= 1e-12 for pt in d["points"])
+
+    @pytest.mark.parametrize(
+        ("well", "c_min", "c_max"),
+        [
+            # starts at C = 0, where every Im part is a signed zero
+            (A23, 0.0, 1.0),
+            # C != 0 throughout, with towers of 2 and 5 levels
+            (["--A", "0.7", "--B", "2.9", "--alpha", "0.6"], 0.3, 2.5),
+        ],
+        ids=["A2-B3", "broken"],
+    )
+    def test_report_energies_are_the_scan_s(self, capsys, well, c_min, c_max):
+        argv = ["bifurcation", *well, "--C-min", str(c_min), "--C-max", str(c_max)]
+        code, d = run_json(capsys, argv + ["--steps", "101"])
+        assert code == 0
+        p0 = SusyParams(**d["params"])
+        assert d["c_grid"] == cli._c_grid(c_min, c_max, 101)
+        points = pcs_spectra.spectra.bifurcation_scan(p0, d["c_grid"])
+        assert len(d["points"]) == len(points) == 101
+        for written, pt in zip(d["points"], points):
+            for branch in ("plus", "minus"):
+                energies = getattr(pt, f"energies_{branch}")
+                assert len(written[f"energies_{branch}"]) == len(energies)
+                assert all(map(same_bits, written[f"energies_{branch}"], energies))
+            err = cli._conjugacy_error(cli._tower_levels(pt.plus), cli._tower_levels(pt.minus))
+            assert written["conjugacy_err"] == err
 
     def test_scan_csv_eleven_cs(self, capsys, tmp_path):
         out = tmp_path / "bif.csv"
@@ -865,15 +911,34 @@ _FLOATS = (
     | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
     | st.floats().map(_Float)
 )
-_JSON_VALUES = st.recursive(
-    _FLOATS | st.integers() | st.booleans() | st.none() | _TEXT,
-    lambda kids: (
-        st.lists(kids, max_size=4)
-        | st.lists(kids, max_size=4).map(tuple)
-        | st.dictionaries(_TEXT, kids, max_size=4)
-    ),
-    max_leaves=16,
-)
+
+
+def _nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: (
+            st.lists(kids, max_size=4)
+            | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(_TEXT, kids, max_size=4)
+        ),
+        max_leaves=16,
+    )
+
+
+_LEAVES = _FLOATS | st.integers() | st.booleans() | st.none() | _TEXT
+_JSON_VALUES = _nested(_LEAVES)
+_WITH_COMPLEX = _nested(st.builds(complex, _FLOATS, _FLOATS) | _LEAVES)
+
+
+def _complex_as_dicts(value):
+    # what the writer writes for a complex, as json.dumps input
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, dict):
+        return {k: _complex_as_dicts(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_complex_as_dicts(v) for v in value]
+    return value
 
 
 class TestJsonWriter:
@@ -885,6 +950,15 @@ class TestJsonWriter:
     @example([_Float(-0.0), _Float(math.nan), _Float(-math.inf), True, 1, None])
     def test_equals_json_dumps(self, value):
         assert cli._to_json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=200)
+    @given(_WITH_COMPLEX)
+    @example(complex(-0.0, math.nan))
+    @example([complex(-4.0, -0.0), complex(math.inf, 0.0), complex(1.5, -math.inf), 2.0])
+    @example((complex(0.0, -0.0), [complex(math.nan, math.nan)], {"z": complex(-0.0, 1e300)}))
+    @example([np.complex128(0.25 - 1e-300j), np.float64(-0.0), complex(_Float(2.0), 0.0)])
+    def test_complex_equals_json_dumps_of_re_im(self, value):
+        assert cli._to_json(value) == json.dumps(_complex_as_dicts(value), indent=2)
 
     @pytest.mark.parametrize(
         "argv",
