@@ -43,7 +43,7 @@ from .core import (
     susy_to_physical,
 )
 from .errors import PcsSpectraError
-from .numerics import Grid, _census_scope, default_grid, verify_spectrum
+from .numerics import _census_scope, verify_spectrum
 from .sl2 import Sl2Params, _correspondence_residuals, m_square_identities, solve_correspondence
 from .spectra import bifurcation_scan, two_series_spectrum
 
@@ -81,7 +81,6 @@ class RunConfig:
     params: SusyParams
     branch: BranchSign = BranchSign.PLUS
     L: float | None = None
-    N: int | None = None
     auto_domain: bool = True
     out: str | None = None
     format: str = "json"
@@ -116,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def gridded(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--L", type=float, default=None, help="half-width of the box")
-        sp.add_argument("--N", type=int, default=None, help="interior grid points")
         sp.add_argument(
             "--no-auto-domain",
             action="store_true",
@@ -279,8 +277,6 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--verify-at takes at most {MAX_VERIFY_AT} values, got {count}")
     for c_value in merged["verify_at"]:
         _number("verify-at", c_value)
-    if merged["N"] is not None and merged["N"] < 3:
-        raise UsageError(f"--N must be at least 3, got {merged['N']}")
     if merged["steps"] < 1:
         raise UsageError(f"--steps must be at least 1, got {merged['steps']}")
     if merged["steps"] > MAX_STEPS:
@@ -423,10 +419,7 @@ def _verify_rows(report, c_value: float, branch: BranchSign) -> list:
 
 
 def _verify(cfg: RunConfig, p: SusyParams, branch: BranchSign):
-    # --L and --N are positive when set, so `or` falls back only on None
-    base = default_grid(p.alpha)
-    grid = Grid(L=cfg.L or base.L, N=cfg.N or base.N)
-    return verify_spectrum(p, grid, branch=branch, auto_domain=cfg.auto_domain)
+    return verify_spectrum(p, L=cfg.L, branch=branch, auto_domain=cfg.auto_domain)
 
 
 def _cmd_verify(cfg: RunConfig):
@@ -469,20 +462,20 @@ def _conjugacy_error(plus: dict, minus: dict):
     return max([abs(e - minus[k].conjugate()) for k, e in plus.items()], default=0.0)
 
 
-def _tower_levels(towers) -> dict:
-    return {(s.label, n): e for s in towers for n, e in enumerate(s.energies)}
-
-
 def _matched_levels(report) -> dict:
     return {(m.analytic.series, m.analytic.n): m.numeric for m in report.matches}
 
 
 def _point_payload(pt) -> dict:
+    # the branches' towers pair up by label and rung: Re lam is A for
+    # series1 and B - alpha/2 for series2 on both branches
+    towers = zip(pt.plus, pt.minus)
+    errs = [abs(e - f.conjugate()) for s, t in towers for e, f in zip(s.energies, t.energies)]
     return {
         "C": pt.C,
         "energies_plus": pt.energies_plus,
         "energies_minus": pt.energies_minus,
-        "conjugacy_err": _conjugacy_error(_tower_levels(pt.plus), _tower_levels(pt.minus)),
+        "conjugacy_err": max(errs, default=0.0),
     }
 
 

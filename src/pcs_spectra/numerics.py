@@ -142,6 +142,9 @@ _CENSUS_MIN_DECAY_FOLDS = 10.0
 # census in the test suite (415 points); deep wells and absurd boxes
 # past it fail loudly
 _MAX_CENSUS_POINTS = 1_500
+# sweeps before eigen_near raises NoConvergence; the solves of a verify
+# converge in two to five
+_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def _boundary_leak(op: DiscretizedOperator, y: np.ndarray) -> float:
     return float(amplitude[edge].max()) / float(amplitude.max())
 
 
-def eigen_near(op: DiscretizedOperator, shift: complex, max_iter: int = 60) -> EigenResult:
+def eigen_near(op: DiscretizedOperator, shift: complex) -> EigenResult:
     """Eigenpair nearest the shift via complex shifted inverse iteration.
 
     Starts from a normalized linear ramp (deterministic, and with both
@@ -332,7 +335,7 @@ def eigen_near(op: DiscretizedOperator, shift: complex, max_iter: int = 60) -> E
     the state rather than the stopping point.
 
     Raises:
-        NoConvergence: residual stayed above tol for max_iter sweeps.
+        NoConvergence: residual stayed above tol for _MAX_ITER (60) sweeps.
         SingularShift: the (possibly updated) shift hit an exact zero
             pivot twice even after perturbing it by tol.
     """
@@ -373,7 +376,7 @@ def eigen_near(op: DiscretizedOperator, shift: complex, max_iter: int = 60) -> E
             raise SingularShift(f"inverse iteration overflowed near shift {theta}")
         return y / norm
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         v = sweep(v)
         hv = op.matvec(v)
         theta = complex(np.vdot(v, hv))
@@ -387,7 +390,7 @@ def eigen_near(op: DiscretizedOperator, shift: complex, max_iter: int = 60) -> E
             )
         if it >= 3:
             lu = factor(theta)
-    raise NoConvergence(shift, max_iter, residual)
+    raise NoConvergence(shift, _MAX_ITER, residual)
 
 
 def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> EigenResult:
@@ -704,37 +707,38 @@ def _greedy_match(levels, numeric):
 
 def verify_spectrum(
     p: SusyParams,
-    grid: Grid | None = None,
     *,
+    L: float | None = None,
     branch: BranchSign = BranchSign.PLUS,
     auto_domain: bool = True,
 ) -> VerificationReport:
     """Certify the analytic towers against the numerical solver.
 
     The analytic prediction fixes only the box size and re_limit;
-    bound_spectrum finds the states from its census alone. The grid
-    argument sets the base resolution, and with auto_domain the
-    half-width grows (same xi step, so N grows like log L) until the
-    slowest-decaying predicted state fits with boundary leak under
-    DEFAULT_MAX_LEAK. Every numeric eigenvalue is Richardson refined
-    before matching, since the raw second-order discretization error
-    at the default step is above DEFAULT_TOL_MATCH: the state
+    bound_spectrum finds the states from its census alone. The base grid
+    is default_grid(p.alpha), or DEFAULT_POINTS nodes on (-L, L) when L
+    is given: the resolution is not the caller's to set. With
+    auto_domain the half-width grows (same xi step, so N grows like
+    log L) until the slowest-decaying predicted state fits with
+    boundary leak under DEFAULT_MAX_LEAK. Every numeric eigenvalue is Richardson
+    refined before matching, since the raw second-order discretization
+    error at the default step is above DEFAULT_TOL_MATCH: the state
     bound_spectrum polished on the box grid is the coarse member, and
     the h/2 grid is discretized once for all states. Matching is greedy
     nearest-pair with capacity equal to the predicted multiplicity: a
     doubly-predicted (defective) level absorbs the conjugate pair the
-    discretization splits it into, and is reported once, at the
-    cluster mean, where the splitting cancels to second order. The
-    report PASSes only if every analytic level took at least one
-    numeric partner, no numeric state is left over, and the worst
-    pairing error is within DEFAULT_TOL_MATCH.
+    discretization splits it into, and is reported once, at the cluster
+    mean, where the splitting cancels to second order. The report PASSes
+    only if every analytic level took at least one numeric partner, no
+    numeric state is left over, and the worst pairing error is within
+    DEFAULT_TOL_MATCH.
 
     Raises:
         DomainTooSmall: with auto_domain=False, when the base grid
             clips a bound state (this is also how a deliberately small
             box fails loudly rather than returning polluted numbers).
     """
-    base = grid if grid is not None else default_grid(p.alpha)
+    base = default_grid(p.alpha) if L is None else Grid(L=L, N=DEFAULT_POINTS)
     levels = _analytic_levels(p, branch)
     v = pcs_partner_coefficients(p, branch)
     geff = _auto_grid(base, levels, p.alpha) if auto_domain and levels else base

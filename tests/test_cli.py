@@ -143,7 +143,7 @@ class TestVerify:
     def test_report_energies_are_the_verifier_s(self, capsys):
         code, d = run_json(capsys, ["verify", *A23, "--C", "1"])
         p = SusyParams(A=2.0, B=3.0, C=1.0, alpha=1.0)
-        report = numerics.verify_spectrum(p, numerics.default_grid(1.0))
+        report = numerics.verify_spectrum(p)
         assert code == 0 and report.passed
         assert len(d["matches"]) == len(report.matches) == 5
         for written, m in zip(d["matches"], report.matches):
@@ -191,8 +191,7 @@ class TestVerify:
 
     def test_numeric_failure_exit_three(self, capsys):
         code = run(
-            ["verify", "--A", "2.5", "--B", "3.2", "--L", "6", "--N", "1200",
-             "--no-auto-domain"]
+            ["verify", "--A", "2.5", "--B", "3.2", "--L", "6", "--no-auto-domain"]
         )
         err = capsys.readouterr().err
         assert code == 3
@@ -354,12 +353,19 @@ class TestBifurcation:
         assert d["c_grid"] == cli._c_grid(c_min, c_max, 101)
         points = pcs_spectra.spectra.bifurcation_scan(p0, d["c_grid"])
         assert len(d["points"]) == len(points) == 101
+
+        def levels(towers):
+            return {(s.label, n): e for s in towers for n, e in enumerate(s.energies)}
+
         for written, pt in zip(d["points"], points):
             for branch in ("plus", "minus"):
                 energies = getattr(pt, f"energies_{branch}")
                 assert len(written[f"energies_{branch}"]) == len(energies)
                 assert all(map(same_bits, written[f"energies_{branch}"], energies))
-            err = cli._conjugacy_error(cli._tower_levels(pt.plus), cli._tower_levels(pt.minus))
+            # the minus level is the conjugate of the plus level of its label
+            plus, minus = levels(pt.plus), levels(pt.minus)
+            assert plus.keys() == minus.keys()
+            err = max([abs(e - minus[k].conjugate()) for k, e in plus.items()], default=0.0)
             assert written["conjugacy_err"] == err
 
     def test_scan_csv_eleven_cs(self, capsys, tmp_path):
@@ -584,7 +590,6 @@ class TestUsageErrors:
         assert run(["analyze", "--A", "2", "--B", "3", "--format", "csv"]) == 2
 
     def test_bad_numeric_overrides(self, capsys, tmp_path):
-        assert run(["verify", "--A", "2", "--B", "3", "--N", "2"]) == 2
         assert run(["verify", "--A", "2", "--B", "3", "--L", "-4"]) == 2
         assert run(["analyze", "--A", "2", "--B", "3", "--alpha", "0"]) == 2
         # non-finite values are usage errors, never a crash or a PASS
@@ -613,6 +618,20 @@ class TestUsageErrors:
         cfg.write_text('{"tol_match": 1e-3}')
         assert run(["verify", *A23, "--config", str(cfg)]) == 2
         assert "unknown config field 'tol_match'" in capsys.readouterr().err
+
+    def test_resolution_is_fixed(self, tmp_path, capsys):
+        # the verifier's grid follows the well, so neither flag nor key
+        # sets its point count
+        for command in ("verify", "bifurcation"):
+            assert run([command, *A23, "--N", "1500"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --N" in captured.err
+            assert "Traceback" not in captured.err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": 4000}))
+        assert run(["verify", *A23, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown config field 'N'\n"
 
     def test_bad_scan_bounds(self, capsys, tmp_path):
         assert run(["bifurcation", *A23, "--C-min", "1", "--C-max", "0"]) == 2
@@ -711,8 +730,10 @@ class TestConfig:
 
     def test_wrong_type_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"N": 12.5}))
-        assert run(["verify", "--A", "2", "--B", "3", "--config", str(cfg)]) == 2
+        cfg.write_text(json.dumps({"steps": 12.5}))
+        assert run(["bifurcation", "--A", "2", "--B", "3", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config field 'steps' must be an integer, got 12.5\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -749,7 +770,6 @@ class TestConfig:
             "alpha": 1.5,
             "branch": "minus",
             "L": 30,
-            "N": 1200,
             "auto_domain": False,
             "out": "scan.csv",
             "format": "json",
@@ -764,7 +784,6 @@ class TestConfig:
             params=SusyParams(A=2.5, B=3.25, C=0.5, alpha=1.5),
             branch=BranchSign.MINUS,
             L=30.0,
-            N=1200,
             auto_domain=False,
             out="scan.csv",
             format="json",
@@ -783,7 +802,6 @@ class TestConfig:
             params=SusyParams(A=2.0, B=3.0, C=0.0, alpha=1.0),
             branch=BranchSign.PLUS,
             L=None,
-            N=None,
             auto_domain=True,
             out=None,
             format="json",
@@ -870,7 +888,7 @@ class TestParserReuse:
     def test_shared_parser_output_equals_fresh_parser(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"command": "spectrum", "A": 2.5, "B": 3.2, "C": 0.3}')
-        verify_twice = ["bifurcation", *A23, "--steps", "2", "--N", "400",
+        verify_twice = ["bifurcation", *A23, "--steps", "2",
                         "--verify-at", "0", "--verify-at", "1"]
         calls = [
             ["analyze", *A23, "--frobnicate"],

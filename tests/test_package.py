@@ -126,7 +126,7 @@ def test_closed_form_commands_never_load_scipy():
         commands = {
             "closed": [["analyze"], ["spectrum"], ["exchange"], ["bifurcation", "--steps", "11"]],
             "sl2": [["sl2"]],
-            "verify": [["verify", "--N", "1500"]],
+            "verify": [["verify"]],
         }
         codes = {}
         with contextlib.redirect_stdout(io.StringIO()):
