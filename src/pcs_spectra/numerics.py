@@ -30,12 +30,19 @@ A PT-symmetric well (V(-x) = V(x)*) gives an operator H with J H J =
 conj(H), J the flip; the unitary Q = e^{-i pi/4} (I + i J) / sqrt(2)
 then makes Q^H H Q = Re H - (Im H) J real (Bender and Boettcher, PRL
 80, 5243, 1998; Mostafazadeh, J. Math. Phys. 43, 3944, 2002). For such
-an operator the census takes the eigenvalues of that real matrix, at
-about a third of the cost of the complex one, and its values are real
-with Im exactly 0 or come in exact conjugate pairs.
+a mirror-exact operator the census takes the eigenvalues of that real
+matrix, at about a third of the cost of the complex one, and its values
+are real with Im exactly 0 or come in exact conjugate pairs. Its
+spectrum is closed under conjugation exactly, with J conj(v) the
+eigenvector for conj(E), so one member of each conjugate pair of
+states is polished and refined and the other is its exact conjugate:
+the split defective level of the exchange fixed point A + alpha/2 = B,
+and the complex levels of the PT-degenerate family, cost one solve per
+pair on each grid.
 verify_spectrum discretizes each grid once: the box grid inside
 bound_spectrum, whose polished states are the coarse Richardson
-members, and the h/2 grid for the one refining solve per state.
+members, and the h/2 grid for the one refining solve per state (per
+pair, for conjugate states of a mirror-exact operator).
 The PT image V(-x)* of a well gives the operator J conj(H) J, whose
 eigenvalues are exactly the conjugates of H's; within a
 _census_scope, a well whose image was censused starts from the
@@ -60,7 +67,7 @@ import contextvars
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .core import BranchSign, PotentialCoefficients, SusyParams, pcs_partner_coefficients
@@ -244,6 +251,23 @@ class DiscretizedOperator:
         eps = float(np.finfo(np.float64).eps)
         off = float(np.abs(self.offdiag).max())
         return 8.0 * eps * (2.0 * off + float(np.abs(self.diag).max()))
+
+    @functools.cached_property
+    def mirror_exact(self) -> bool:
+        """Whether J H J = conj(H) to the bit, J the flip.
+
+        Then the spectrum is closed under conjugation exactly, and
+        J conj(v) is an eigenvector for conj(E) whenever v is one for E.
+        A PT-symmetric well (C = 0, or the degenerate family 2(A - B) +
+        alpha = 0) gives such an operator; the test reads the matrix,
+        not (A, B, C), so couplings that round off PT symmetry fail it.
+        """
+        import numpy as np
+
+        return bool(
+            np.array_equal(self.diag[::-1], self.diag.conj())
+            and np.array_equal(self.offdiag[::-1], self.offdiag)
+        )
 
 
 @dataclass(frozen=True)
@@ -459,14 +483,12 @@ def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[com
     return values
 
 
-def _dense_census(v: PotentialCoefficients, grid: Grid, halvings: int) -> list[complex]:
-    # Every eigenvalue of the mapped operator on the same box at a
-    # coarse xi step, halved `halvings` times, sorted: dxi is set by the
-    # fastest local oscillation sqrt(|V| + alpha^2) that a bound state
-    # can have. The values land within a few hundredths of the fine-grid
-    # levels (a few tenths for the two halves of a split exceptional
-    # pair), close enough for inverse iteration to take over, and never
-    # cost more points than grid itself.
+def _census_points(v: PotentialCoefficients, grid: Grid, halvings: int) -> int:
+    # Points of the census on grid's box at a coarse xi step, halved
+    # `halvings` times: dxi is set by the fastest local oscillation
+    # sqrt(|V| + alpha^2) that a bound state can have, and the census
+    # never costs more points than grid itself. Raises DomainTooSmall
+    # past _MAX_CENSUS_POINTS.
     v_max = abs(v.t2) + 0.5 * abs(v.st)
     dxi = 0.5 / math.sqrt(v_max + v.alpha * v.alpha) / 2**halvings
     n = min(grid.N, max(3, _points(grid.L, v.alpha, dxi)))
@@ -476,17 +498,25 @@ def _dense_census(v: PotentialCoefficients, grid: Grid, halvings: int) -> list[c
             f"above the budget of {_MAX_CENSUS_POINTS}; the well is too deep "
             f"or the box too wide"
         )
+    return n
+
+
+def _dense_census(v: PotentialCoefficients, grid: Grid, halvings: int) -> list[complex]:
+    # Every eigenvalue of the mapped operator on the same box at the
+    # step of _census_points, sorted. The values land within a few
+    # hundredths of the fine-grid levels (a few tenths for the two
+    # halves of a split exceptional pair), close enough for inverse
+    # iteration to take over.
+    n = _census_points(v, grid, halvings)
     import numpy as np
 
     _bind_scipy()
     op = _mapped_operator(v, Grid(L=grid.L, N=n))
-    # The offdiagonal mirrors to the bit by construction, so a diagonal
-    # that mirrors to its conjugate to the bit means J H J = conj(H)
-    # exactly, and the real matrix Re H - (Im H) J below is similar to H
-    # with no rounding in the similarity. The choice follows the
-    # operator, not (A, B, C): the PT-degenerate family 2(A - B) +
-    # alpha = 0 with C != 0 is mirror-exact too.
-    real = np.array_equal(op.diag[::-1], op.diag.conj())
+    # On a mirror-exact operator the real matrix Re H - (Im H) J below
+    # is similar to H with no rounding in the similarity. The choice
+    # follows the operator, not (A, B, C): the PT-degenerate family
+    # 2(A - B) + alpha = 0 with C != 0 is mirror-exact too.
+    real = op.mirror_exact
     mat = np.zeros((n, n), np.float64 if real else np.complex128)
     mat.flat[:: n + 1] = op.diag.real if real else op.diag
     mat.flat[1 :: n + 1] = op.offdiag
@@ -497,6 +527,13 @@ def _dense_census(v: PotentialCoefficients, grid: Grid, halvings: int) -> list[c
         mat.flat[n - 1 : n * n - 1 : n - 1] -= op.diag.imag
     values = eigvals(mat, overwrite_a=True, check_finite=False)
     return sorted((complex(z) for z in values), key=energy_sort_key)
+
+
+def _conjugate(res: EigenResult) -> EigenResult:
+    # the state J conj(y) of a mirror-exact operator, for res's y: its
+    # leak equals res's exactly, since the edge nodes mirror, and its
+    # residual up to the matvec's summation order
+    return replace(res, energy=res.energy.conjugate())
 
 
 def bound_spectrum(
@@ -518,7 +555,18 @@ def bound_spectrum(
     state. The census resolves levels only to a few hundredths, so two
     close levels can merge into census values that polish to one state;
     when two values of the census land on one state, the census is taken
-    once more at half its xi step and those values are polished too.
+    once more at half its xi step and those values are polished too. The
+    first such landing raises the budget error at once when the retaken
+    census would exceed _MAX_CENSUS_POINTS, before the rest of the
+    polish. On a mirror-exact operator (J H J = conj(H) to the bit) the
+    census pairs each value below Im 0 with its exact conjugate: the
+    first is polished, and when its state lies off the real axis by
+    more than the merge radius the partner takes the conjugate state in
+    place of a solve of its own. That state carries the member's leak,
+    which is exactly equal because the edge nodes mirror, and its
+    residual, which is equal up to the matvec's summation order. A
+    member that polishes onto the axis leaves its partner to be
+    polished, so two close real states are both still found.
     Within a _census_scope, a well whose PT image's census was taken on
     the same box and step starts from its conjugates; the polish, the
     gates and the result are its own. seeds are optional extra shifts,
@@ -538,20 +586,23 @@ def bound_spectrum(
             _MAX_CENSUS_POINTS points.
     """
     op = discretize(v, grid)
+    merge = _MAX_CONDITION * op.certified_tol
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
     accepted: list[EigenResult] = []
 
     def continuum(z: complex) -> bool:
         return z.real > 0.0 and _decay_rate(z) < min_decay
 
-    def polish(shift: complex) -> int | None:
-        # index in accepted of the state the shift converges to, if kept
+    def solve(shift: complex) -> EigenResult | None:
         try:
-            res = eigen_near(op, shift)
+            return eigen_near(op, shift)
         except (NoConvergence, SingularShift) as exc:
             log.debug("shift %s: %s", shift, exc)
             return None
-        if res.energy.real >= re_limit:
+
+    def keep(res: EigenResult | None) -> int | None:
+        # index in accepted of the state res is, if kept
+        if res is None or res.energy.real >= re_limit:
             return None
         if res.boundary_leak > max_leak:
             if continuum(res.energy):
@@ -561,24 +612,45 @@ def bound_spectrum(
                 f"through the box edge at L = {grid.L}; enlarge the domain"
             )
         for k, kept in enumerate(accepted):
-            if abs(kept.energy - res.energy) < _MAX_CONDITION * op.certified_tol:
+            if abs(kept.energy - res.energy) < merge:
                 if res.residual < kept.residual:
                     accepted[k] = res
                 return k
         accepted.append(res)
         return len(accepted) - 1
 
-    def census(halvings: int) -> list[complex]:
-        return [z for z in _census(v, grid, halvings) if z.real < re_limit and not continuum(z)]
+    def scan(halvings: int):
+        # the kept index of each census value's state, in census order;
+        # conj(z) comes after z in the sorted census and may be owed the
+        # conjugate of z's state
+        owed: dict[complex, EigenResult] = {}
+        for z in _census(v, grid, halvings):
+            if z.real >= re_limit or continuum(z):
+                continue
+            res = owed.pop(z, None)
+            if res is None:
+                res = solve(z)
+                if res is not None and op.mirror_exact and abs(res.energy.imag) > merge:
+                    owed[z.conjugate()] = _conjugate(res)
+            yield keep(res)
 
     for s in seeds:
-        polish(complex(s))
-    hits = [k for k in map(polish, census(0)) if k is not None]
-    if len(set(hits)) < len(hits):
-        # two census values on one state: the coarse step merged two
-        # levels, which half the step separates
-        for z in census(1):
-            polish(z)
+        keep(solve(complex(s)))
+    hits: set[int] = set()
+    retake = False
+    for k in scan(0):
+        if k is None:
+            continue
+        if k in hits and not retake:
+            # two census values on one state: the coarse step merged two
+            # levels, which half the step separates. Refuse now, not
+            # after the rest of the polish, if that census is over budget
+            _census_points(v, grid, 1)
+            retake = True
+        hits.add(k)
+    if retake:
+        for _ in scan(1):
+            pass
     accepted.sort(key=lambda r: energy_sort_key(r.energy))
     return accepted
 
@@ -724,7 +796,11 @@ def verify_spectrum(
     refined before matching, since the raw second-order discretization
     error at the default step is above DEFAULT_TOL_MATCH: the state
     bound_spectrum polished on the box grid is the coarse member, and
-    the h/2 grid is discretized once for all states. Matching is greedy
+    the h/2 grid is discretized once for all states. On a mirror-exact
+    h/2 operator, of two states that are exact conjugates only the one
+    below Im 0 takes the refining solve, and the other takes the
+    conjugate of its result; so the cluster mean of a split defective
+    level is exactly real. Matching is greedy
     nearest-pair with capacity equal to the predicted multiplicity: a
     doubly-predicted (defective) level absorbs the conjugate pair the
     discretization splits it into, and is reported once, at the cluster
@@ -746,7 +822,18 @@ def verify_spectrum(
 
     raw = bound_spectrum(v, geff, re_limit=re_limit)
     fine_op = discretize(v, geff.refined())
-    refined = [refine_eigenvalue(r, fine_op) for r in raw]
+    refined: list[EigenResult] = []
+    # raw is sorted, so of two conjugate states the one below Im 0
+    # comes first; on a mirror-exact h/2 operator the other refines to
+    # the conjugate of its refinement
+    owed: dict[complex, EigenResult] = {}
+    for r in raw:
+        ref = owed.pop(r.energy, None)
+        if ref is None:
+            ref = refine_eigenvalue(r, fine_op)
+            if r.energy.imag != 0.0 and fine_op.mirror_exact:
+                owed[r.energy.conjugate()] = _conjugate(ref)
+        refined.append(ref)
 
     assigned, left, right = _greedy_match(levels, refined)
     matches = []
