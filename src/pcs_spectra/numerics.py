@@ -211,6 +211,13 @@ def _points(L: float, alpha: float, dxi: float) -> int:
     return int(math.ceil(2.0 * _xi_max(L, alpha) / dxi)) - 1
 
 
+def _verify_box(L: float, alpha: float) -> Grid:
+    # every verify box, given or grown, at default_grid's xi step: the
+    # box moves the walls, never the resolution
+    dxi = _xi_step(default_grid(alpha), alpha)
+    return Grid(L=L, N=max(3, _points(L, alpha, dxi)))
+
+
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """Complex symmetric tridiagonal form of -d^2/dx^2 + V - e0.
@@ -583,8 +590,10 @@ def bound_spectrum(
             fewer than 10 e-folds over the half-width, is taken as box
             continuum and dropped instead. Also raised, naming the size
             it would need, when a census needs more than
-            _MAX_CENSUS_POINTS points.
+            _MAX_CENSUS_POINTS points; for the first census, before the
+            box operator is built.
     """
+    _census_points(v, grid, 0)
     op = discretize(v, grid)
     merge = _MAX_CONDITION * op.certified_tol
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
@@ -746,9 +755,8 @@ def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
     need = _LEAK_HALF_WIDTH_FACTOR / kappa_min
     if need <= base.L:
         return base
-    # keep the xi step of the base grid while growing the box: N grows
-    # like log(need), not like need
-    return Grid(L=need, N=_points(need, alpha, _xi_step(base, alpha)))
+    # N grows like log(need), not like need
+    return _verify_box(need, alpha)
 
 
 def _greedy_match(levels, numeric):
@@ -788,13 +796,14 @@ def verify_spectrum(
 
     The analytic prediction fixes only the box size and re_limit;
     bound_spectrum finds the states from its census alone. The base grid
-    is default_grid(p.alpha), or DEFAULT_POINTS nodes on (-L, L) when L
-    is given: the resolution is not the caller's to set. With
-    auto_domain the half-width grows (same xi step, so N grows like
-    log L) until the slowest-decaying predicted state fits with
-    boundary leak under DEFAULT_MAX_LEAK. Every numeric eigenvalue is Richardson
-    refined before matching, since the raw second-order discretization
-    error at the default step is above DEFAULT_TOL_MATCH: the state
+    is default_grid(p.alpha), or the box (-L, L) at its xi step when L
+    is given: L moves only the walls, and the resolution is not the
+    caller's to set. With auto_domain the half-width grows (same xi
+    step, so N grows like log L) until the slowest-decaying predicted
+    state fits with boundary leak under DEFAULT_MAX_LEAK. Every numeric
+    eigenvalue is Richardson refined before matching, since the raw
+    second-order discretization error at the default step is above
+    DEFAULT_TOL_MATCH: the state
     bound_spectrum polished on the box grid is the coarse member, and
     the h/2 grid is discretized once for all states. On a mirror-exact
     h/2 operator, of two states that are exact conjugates only the one
@@ -814,7 +823,7 @@ def verify_spectrum(
             clips a bound state (this is also how a deliberately small
             box fails loudly rather than returning polluted numbers).
     """
-    base = default_grid(p.alpha) if L is None else Grid(L=L, N=DEFAULT_POINTS)
+    base = default_grid(p.alpha) if L is None else _verify_box(L, p.alpha)
     levels = _analytic_levels(p, branch)
     v = pcs_partner_coefficients(p, branch)
     geff = _auto_grid(base, levels, p.alpha) if auto_domain and levels else base

@@ -198,16 +198,28 @@ class TestVerify:
         assert "enlarge the domain" in err
 
     def test_census_over_budget_exit_three_quickly(self, capsys):
-        # a huge but representable box gets a census of n = N = 4000
-        # points, a dense eigensolve that would run past a minute
+        # a huge but representable box gets a census of n = 5304 points,
+        # a dense eigensolve that would run past a minute
         start = time.perf_counter()
         code = run(["verify", "--A", "2", "--B", "3", "--L", "1e30"])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "n = 4000" in captured.err and "budget" in captured.err
+        assert "n = 5304" in captured.err and "budget" in captured.err
         assert elapsed < 10.0
+
+    def test_census_over_budget_builds_no_operator(self, capsys, monkeypatch):
+        # the box of L = 1e30 has 150,461 nodes at the default step: the
+        # census budget refuses it before any of them is discretized
+        built = []
+        discretize = numerics.discretize
+        monkeypatch.setattr(
+            numerics, "discretize", lambda v, grid: built.append(grid) or discretize(v, grid)
+        )
+        assert run(["verify", "--A", "2", "--B", "3", "--L", "1e30"]) == 3
+        assert "budget" in capsys.readouterr().err
+        assert built == []
 
     def test_deep_well_census_names_its_size(self, capsys):
         code = run(["verify", "--A", "20", "--B", "25"])
@@ -285,7 +297,8 @@ class TestSl2:
         ["verify", "--A", "2", "--B", "3", "--L", "1e308"],
         ["verify", "--A", "2", "--B", "3", "--L", "1e160"],
         # h passes, but the sinh map packs the nodes over the well closer
-        # than h, so 2/(h_i h_{i+1}) overflows there
+        # than h, so 2/(h_i h_{i+1}) overflows there; the auto-grown box
+        # of the first is refused sooner, on its census budget
         ["verify", "--A", "2", "--B", "3", "--alpha", "3.5e151"],
         ["verify", "--A", "2", "--B", "3", "--alpha", "5e151", "--no-auto-domain"],
         # finite inputs whose derived coefficients overflow

@@ -455,6 +455,15 @@ class TestBoundSpectrum:
             assert (partner.residual, partner.boundary_leak) == (r.residual, r.boundary_leak)
         assert len(solves) == len(states) // 2
 
+    def test_fine_step_leak_gate_reads_the_state(self):
+        # a 15 times finer xi step than the default raises the residual
+        # floor like 1/dxi^2; the leak gate must still read the states
+        v = pcs_partner_coefficients(SusyParams(2, 3, 0, 1), PLUS)
+        states = bound_spectrum(v, Grid(L=42.0, N=97_774))
+        want = [-6.25, -4.0, -2.25, -1.0, -0.25]
+        assert [round(r.energy.real, 5) for r in states] == want
+        assert max(r.boundary_leak for r in states) < 1e-8
+
     def test_clipped_state_raises(self):
         with pytest.raises(DomainTooSmall):
             bound_spectrum(POSCHL_TELLER_3, Grid(L=3.0, N=600), seeds=[-1.0])
@@ -565,13 +574,22 @@ class TestVerifySpectrum:
         assert rep.grid.L == pytest.approx(21.0 / A)
         assert rep.grid.N <= 20_000
 
-    def test_fine_base_grid_passes(self):
-        # the default points on a box of L = 0.5 make a 15 times finer xi
-        # step, which raises the residual floor like 1/dxi^2; the leak
-        # gate must still read the state
-        rep = verify_spectrum(SusyParams(2, 3, 0, 1), L=0.5)
+    @pytest.mark.parametrize("L", [0.05, 0.1, 0.2, 3.0, 6.0])
+    def test_box_sets_no_resolution(self, L):
+        # a given box takes the default xi step, so a box the states
+        # outgrow grows to the default report's grid and finds its states
+        want = verify_spectrum(SusyParams(2, 3, 0, 1))
+        rep = verify_spectrum(SusyParams(2, 3, 0, 1), L=L)
         assert rep.passed
-        assert max(m.boundary_leak for m in rep.matches) < 1e-8
+        assert (rep.grid, rep.matches) == (want.grid, want.matches)
+
+    def test_wide_box_keeps_the_default_step(self):
+        # 1e8 moves the walls, not the resolution: N grows like log L
+        rep = verify_spectrum(SusyParams(2, 3, 0, 1), L=1e8)
+        assert rep.passed
+        assert rep.grid.L == 1e8
+        step = numerics._xi_step(default_grid(1.0), 1.0)
+        assert step * (1 - 1 / rep.grid.N) < numerics._xi_step(rep.grid, 1.0) <= step
 
     @pytest.mark.parametrize(
         "params",
@@ -671,8 +689,52 @@ def test_depth_envelope(params):
     assert verify_spectrum(params).passed
 
 
-def _offset_fails(reason):
+def _fails(reason):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+# the exchange fixed point A + alpha/2 = B at depth: every level is
+# doubled, and the h^2 splitting of each defective pair grows with depth.
+# The reasons give max |dE| with one BLAS thread, then with two or more
+@pytest.mark.parametrize(
+    "A",
+    [
+        pytest.param(2.5, id="(2.5, 3)"),
+        pytest.param(
+            3.5, id="(3.5, 4)",
+            marks=_fails("FAIL with max |dE| 2.06e-6 / 2.83e-6, every level matched"),
+        ),
+        pytest.param(
+            4, id="(4, 4.5)",
+            marks=_fails("FAIL with max |dE| 9.94e-6 / 1.32e-5, every level matched"),
+        ),
+        pytest.param(
+            5, id="(5, 5.5)",
+            marks=_fails("FAIL with max |dE| 3.37e-4 / 1.11e-4, every level matched"),
+        ),
+    ],
+)
+def test_exchange_fixed_point_depth(A):
+    assert verify_spectrum(SusyParams(A, A + 0.5, 0, 1)).passed
+
+
+def test_exchange_fixed_point_on_the_tolerance_edge():
+    # (3, 3.5) matches every doubled level, but its worst |dE| is 1.68e-7
+    # with one BLAS thread and 1.02e-6, a FAIL, with two or more: the
+    # census rounds with the thread count, and the polish of a member of
+    # a near-defective pair carries that into the cluster mean. So its
+    # verdict is pinned by neither PASS nor FAIL, only its matching
+    rep = verify_spectrum(SusyParams(3, 3.5, 0, 1))
+    assert [m.analytic.multiplicity for m in rep.matches] == [2, 2, 2]
+    assert not rep.unmatched_analytic and not rep.unmatched_numeric
+    assert rep.max_abs_err < 2 * numerics.DEFAULT_TOL_MATCH
+
+
+def test_deep_exchange_fixed_point_is_refused():
+    # (6, 6.5): inverse iteration near the doubled level -9 stops at
+    # residual 8e-7 after its 60 sweeps, a typed refusal, not a verdict
+    with pytest.raises(NoConvergence):
+        verify_spectrum(SusyParams(6, 6.5, 0, 1))
 
 
 # (2, 2.5 + delta, 0, 1): delta away from the exceptional family
@@ -682,23 +744,23 @@ def _offset_fails(reason):
     [
         pytest.param(
             -1e-2, id="-1e-2",
-            marks=_offset_fails("FAIL with max |dE| 1.08e-6, 2 levels unmatched"),
+            marks=_fails("FAIL with max |dE| 1.08e-6, 2 levels unmatched"),
         ),
         pytest.param(
             1e-2, id="+1e-2",
-            marks=_offset_fails("FAIL with max |dE| 1.12e-6, 3 levels unmatched"),
+            marks=_fails("FAIL with max |dE| 1.12e-6, 3 levels unmatched"),
         ),
         pytest.param(
             -1e-4, id="-1e-4",
-            marks=_offset_fails("FAIL with max |dE| 7.25e-4, every level matched"),
+            marks=_fails("FAIL with max |dE| 7.25e-4, every level matched"),
         ),
         pytest.param(
             -1e-6, id="-1e-6",
-            marks=_offset_fails("FAIL with max |dE| 7.19e-4, every level matched"),
+            marks=_fails("FAIL with max |dE| 7.19e-4, every level matched"),
         ),
         pytest.param(
             -1e-8, id="-1e-8",
-            marks=_offset_fails("FAIL with max |dE| 7.19e-4, every level matched"),
+            marks=_fails("FAIL with max |dE| 7.19e-4, every level matched"),
         ),
         # within the 1e-9 alpha^2 merge of the analytic levels
         pytest.param(-1e-10, id="-1e-10"),
