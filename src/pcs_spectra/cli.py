@@ -43,7 +43,7 @@ from .core import (
     susy_to_physical,
 )
 from .errors import PcsSpectraError
-from .numerics import _census_scope, verify_spectrum
+from .numerics import verify_spectrum
 from .sl2 import Sl2Params, _correspondence_residuals, m_square_identities, solve_correspondence
 from .spectra import bifurcation_scan, two_series_spectrum
 
@@ -508,13 +508,13 @@ def _cmd_bifurcation(cfg: RunConfig):
     # one report per well: (C, minus) is the well (-C, plus) to the bit,
     # so the plus branch at each signed coupling serves both branches,
     # and repeated values, 0.0 and -0.0, and C and -C share their wells;
-    # a well and its PT image V(-x)* share one dense census
+    # the plus wells at C and -C are PT images, which numerics censuses
+    # once by its own rule, as it does in every command
     reports = {}
-    with _census_scope():
-        for c_value in cfg.verify_at:
-            for w in (c_value, -c_value):
-                if w.hex() not in reports:
-                    reports[w.hex()] = _verify(cfg, dataclasses.replace(p0, C=w), BranchSign.PLUS)
+    for c_value in cfg.verify_at:
+        for w in (c_value, -c_value):
+            if w.hex() not in reports:
+                reports[w.hex()] = _verify(cfg, dataclasses.replace(p0, C=w), BranchSign.PLUS)
     pairs = [(c, reports[c.hex()], reports[(-c).hex()]) for c in cfg.verify_at]
     if pairs:
         data["verifications"] = [

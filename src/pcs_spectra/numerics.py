@@ -44,11 +44,13 @@ bound_spectrum, whose polished states are the coarse Richardson
 members, and the h/2 grid for the one refining solve per state (per
 pair, for conjugate states of a mirror-exact operator).
 The PT image V(-x)* of a well gives the operator J conj(H) J, whose
-eigenvalues are exactly the conjugates of H's; within a
-_census_scope, a well whose image was censused starts from the
-conjugates of that census (bifurcation --verify-at verifies each well
-once, and the two branches at C are PT images of each other). The
-image is still polished and certified on its own operator.
+eigenvalues are exactly the conjugates of H's, so a well and its image
+share one census by rule: the member with the larger (Im t2, Re st) is
+censused, and the other starts from the conjugates of those values.
+The two branches at C are PT images of each other. A well's census,
+and so its report, depends neither on which command verified it nor on
+what ran before. Each well is still polished and certified on its own
+operator.
 
 scipy, which is about two thirds of this package's import time, loads
 on the first solve or census, or the first read of eigvals, zgttrf or
@@ -62,8 +64,6 @@ loads neither library.
 from __future__ import annotations
 
 import cmath
-import contextlib
-import contextvars
 import functools
 import logging
 import math
@@ -443,51 +443,22 @@ def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> Eige
     )
 
 
-# census values by the bits of (t2, st, alpha, L, N, halvings), read
-# by the PT image within a _census_scope; None outside one
-_census_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "census_memo", default=None
-)
-
-
-@contextlib.contextmanager
-def _census_scope():
-    """Within the block, a well and its PT image share one dense census.
-
-    A well whose PT image V(-x)* was censused on the same box grid and
-    halving takes the conjugates of that census, which are its own
-    operator's eigenvalues exactly (J conj(H) J has the conjugate
-    spectrum of H). The match is by the bits of the coefficients, so
-    signed zeros count. Every other census is taken anew: callers verify
-    each well once. Only the shifts are shared: each well is still
-    polished on its own operator.
-    """
-    token = _census_memo.set({})
-    try:
-        yield
-    finally:
-        _census_memo.reset(token)
-
-
-def _census_key(v: PotentialCoefficients, grid: Grid, halvings: int) -> tuple:
-    t2, st = complex(v.t2), complex(v.st)
-    parts = (t2.real, t2.imag, st.real, st.imag, v.alpha, grid.L)
-    return (*(float(x).hex() for x in parts), grid.N, halvings)
-
-
 def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[complex]:
-    """The dense census of v or, within a _census_scope, the conjugates
-    of its PT image's census when that was taken."""
-    memo = _census_memo.get()
-    if memo is None:
-        return _dense_census(v, grid, halvings)
-    image = memo.get(_census_key(v.pt_image(), grid, halvings))
-    if image is not None:
-        # a real value keeps Im +0.0, as the image's own census gives it,
-        # so a mirror-exact well polishes from the very same shifts
-        return sorted((complex(z.real, -z.imag or 0.0) for z in image), key=energy_sort_key)
-    memo[_census_key(v, grid, halvings)] = values = _dense_census(v, grid, halvings)
-    return values
+    """The dense census of v, taken on one member of its PT pair.
+
+    v's PT image V(-x)* has the operator J conj(H) J, whose eigenvalues
+    are exactly the conjugates of H's. Of the two, the member with the
+    larger (Im t2, Re st) is censused, and v takes those values or their
+    conjugates, so a well and its image start from one census whichever
+    is verified first. On a PT-symmetric well the keys tie and v takes
+    its own census.
+    """
+    image = v.pt_image()
+    if (image.t2.imag, image.st.real) > (v.t2.imag, v.st.real):
+        # a real value keeps Im +0.0, as v's own census would give it
+        values = _canonical_census(image.t2, image.st, v.alpha, grid, halvings)
+        return sorted((complex(z.real, -z.imag or 0.0) for z in values), key=energy_sort_key)
+    return list(_canonical_census(v.t2, v.st, v.alpha, grid, halvings))
 
 
 def _census_points(v: PotentialCoefficients, grid: Grid, halvings: int) -> int:
@@ -508,12 +479,18 @@ def _census_points(v: PotentialCoefficients, grid: Grid, halvings: int) -> int:
     return n
 
 
-def _dense_census(v: PotentialCoefficients, grid: Grid, halvings: int) -> list[complex]:
-    # Every eigenvalue of the mapped operator on the same box at the
-    # step of _census_points, sorted. The values land within a few
-    # hundredths of the fine-grid levels (a few tenths for the two
+@functools.lru_cache(maxsize=2)
+def _canonical_census(
+    t2: complex, st: complex, alpha: float, grid: Grid, halvings: int
+) -> tuple[complex, ...]:
+    # Every eigenvalue of the mapped operator of (t2, st) on the same box
+    # at the step of _census_points, sorted. The values land within a
+    # few hundredths of the fine-grid levels (a few tenths for the two
     # halves of a split exceptional pair), close enough for inverse
-    # iteration to take over.
+    # iteration to take over. The key is the operator alone, not e0, and
+    # two entries hold both halvings of one PT pair; a hit returns the
+    # values the call would compute.
+    v = PotentialCoefficients(t2=t2, st=st, e0=0.0, alpha=alpha)
     n = _census_points(v, grid, halvings)
     import numpy as np
 
@@ -533,7 +510,7 @@ def _dense_census(v: PotentialCoefficients, grid: Grid, halvings: int) -> list[c
         # at even n its two centre entries sit on them
         mat.flat[n - 1 : n * n - 1 : n - 1] -= op.diag.imag
     values = eigvals(mat, overwrite_a=True, check_finite=False)
-    return sorted((complex(z) for z in values), key=energy_sort_key)
+    return tuple(sorted((complex(z) for z in values), key=energy_sort_key))
 
 
 def _conjugate(res: EigenResult) -> EigenResult:
@@ -574,13 +551,15 @@ def bound_spectrum(
     residual, which is equal up to the matvec's summation order. A
     member that polishes onto the axis leaves its partner to be
     polished, so two close real states are both still found.
-    Within a _census_scope, a well whose PT image's census was taken on
-    the same box and step starts from its conjugates; the polish, the
-    gates and the result are its own. seeds are optional extra shifts,
-    polished first. Runs converging to Re(E) >= re_limit are discarded;
-    re_limit = 0 is the continuum threshold of the e0-subtracted
-    operator, and callers may raise it to chase normalizable states
-    whose energy has crept past zero real part in the broken phase.
+    A well and its PT image share one census (see _census), so a well
+    whose image is the member censused starts from the conjugates of
+    that census; the polish, the gates and the result are its own, and
+    none of them depends on what was censused before. seeds are
+    optional extra shifts, polished first. Runs converging to Re(E) >=
+    re_limit are discarded; re_limit = 0 is the continuum threshold of
+    the e0-subtracted operator, and callers may raise it to chase
+    normalizable states whose energy has crept past zero real part in
+    the broken phase.
 
     Raises:
         DomainTooSmall: a converged state still has boundary amplitude
@@ -821,12 +800,25 @@ def verify_spectrum(
     Raises:
         DomainTooSmall: with auto_domain=False, when the base grid
             clips a bound state (this is also how a deliberately small
-            box fails loudly rather than returning polluted numbers).
+            box fails loudly rather than returning polluted numbers),
+            or when its half-width is below 1/kappa_max, the decay
+            length of the most tightly bound predicted level, before
+            any operator is built.
     """
     base = default_grid(p.alpha) if L is None else _verify_box(L, p.alpha)
     levels = _analytic_levels(p, branch)
     v = pcs_partner_coefficients(p, branch)
     geff = _auto_grid(base, levels, p.alpha) if auto_domain and levels else base
+    # a box narrower than the shortest decay length 1/kappa_max holds no
+    # state at all, so nothing polishes to leak: refuse it here, or it
+    # FAILs with every level unmatched. A grown box is 21/kappa_min wide
+    kappa_max = max((_decay_rate(lv.energy) for lv in levels), default=0.0)
+    if kappa_max > 0.0 and geff.L < 1.0 / kappa_max:
+        raise DomainTooSmall(
+            f"the box half-width L = {geff.L} is below the decay length "
+            f"1/kappa = {1.0 / kappa_max} of the most tightly bound level; "
+            f"no bound state fits in it"
+        )
     re_limit = max([0.0] + [lv.energy.real + 0.1 for lv in levels])
 
     raw = bound_spectrum(v, geff, re_limit=re_limit)

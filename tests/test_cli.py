@@ -221,6 +221,28 @@ class TestVerify:
         assert "budget" in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize(
+        "L, message",
+        [(L, "decay length 1/kappa = 0.4") for L in ("0.05", "0.2", "0.3", "0.38")]
+        + [(L, "enlarge the domain") for L in ("0.42", "6")],
+    )
+    def test_narrow_box_exit_three(self, capsys, monkeypatch, L, message):
+        # (2, 3)'s most tightly bound level, E = -6.25, decays over
+        # 1/kappa = 0.4. A narrower box holds no state, so nothing could
+        # leak, and every level went unmatched, a FAIL: it is refused
+        # before any operator is built. A wider one clips a state
+        built = []
+        discretize = numerics.discretize
+        monkeypatch.setattr(
+            numerics, "discretize", lambda v, grid: built.append(grid) or discretize(v, grid)
+        )
+        code = run(["verify", *A23, "--L", L, "--no-auto-domain"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+        assert (built == []) == message.startswith("decay")
+
     def test_deep_well_census_names_its_size(self, capsys):
         code = run(["verify", "--A", "20", "--B", "25"])
         err = capsys.readouterr().err
@@ -506,19 +528,36 @@ class TestBifurcation:
         monkeypatch.setattr(numerics, "eigvals", eigvals_counted)
         monkeypatch.setattr(numerics, "discretize", discretize_counted)
         argv = ["bifurcation", *A23, "--steps", "3", "--verify-at", "1", "--verify-at", "-1"]
-        for _ in range(2):
-            # and the next run takes its own
-            calls.clear()
-            wells.clear()
-            code, d = run_json(capsys, argv)
-            assert code == 0
-            assert len(calls) == 1
-            assert len(wells) == 4 and len(set(wells)) == 2
-            assert all(v["numeric_conjugacy_err"] <= 1e-9 for v in d["verifications"])
-            assert numerics._census_memo.get() is None
+        code, d = run_json(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1
+        assert len(wells) == 4 and len(set(wells)) == 2
+        assert all(v["numeric_conjugacy_err"] <= 1e-9 for v in d["verifications"])
+        # the next run finds that census cached, and prints the same report
+        calls.clear()
+        wells.clear()
+        code, again = run_json(capsys, argv)
+        assert code == 0 and calls == [] and len(wells) == 4
+        assert again == d
         calls.clear()
         code, _ = run_json(capsys, ["verify", *A23])
         assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("c", ["1", "0.5"])
+    def test_well_reports_the_same_in_every_command(self, capsys, c):
+        # (c, minus) is the well (-c, plus), and the PT image of (c, plus):
+        # verify and bifurcation --verify-at give each well one report
+        keys = ("matches", "max_abs_err", "unmatched_analytic", "unmatched_numeric")
+        well = ["--A", "2", "--B", "3"]
+        _, minus = run_json(capsys, ["verify", *well, "--C", c, "--branch", "minus"])
+        _, flipped = run_json(capsys, ["verify", *well, "--C", f"-{c}"])
+        _, plus = run_json(capsys, ["verify", *well, "--C", c])
+        numerics._canonical_census.cache_clear()
+        _, d = run_json(capsys, ["bifurcation", *well, "--steps", "2", "--verify-at", c])
+        [check] = d["verifications"]
+        for key in keys:
+            assert minus[key] == flipped[key] == check["minus"][key], key
+            assert plus[key] == check["plus"][key], key
 
     @pytest.mark.parametrize(
         "argv",
