@@ -57,7 +57,10 @@ class DomainTooSmall(PcsSpectraError):
 
     The caller must enlarge the half-width L; eigenvalues computed on this
     grid carry an uncontrolled truncation error. Also raised when the
-    box and the well depth need a dense census above its point budget.
+    box and the well depth need a dense solve above its point budget, or
+    when double precision cannot certify a level: it lies within the
+    rounding floor of the threshold, or verify's two resolutions
+    disagree on it.
     """
 
 

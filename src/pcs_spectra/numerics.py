@@ -1,56 +1,43 @@
 """Independent numerical oracle for the analytic level towers.
 
 The Schrodinger operator -d^2/dx^2 + V(x) - e0 (hbar = 2m = 1) is
-discretized on [-L, L] with Dirichlet walls, on nodes x = a sinh(xi/a)
-with xi uniform and a = 4/alpha: nearly uniform over the well and
-spread out geometrically along the tails, so the point count needed for
-a box grows like log L rather than L (Boyd, Chebyshev and Fourier
-Spectral Methods, 2001, ch. 17). The three-point non-uniform Laplacian
-is scaled by the square roots of the node weights, so the matrix is
-complex symmetric tridiagonal, not Hermitian, and eigenpairs are found
-by shifted inverse iteration with unsymmetric tridiagonal LU (partial
-pivoting) rather than by anything that assumes a real spectrum. The
-mapping is smooth, so eigenvalues carry a clean error term in the xi
-step squared, which refine_eigenvalue removes by pairing a state
-converged on N interior points with one solve on 2N+1 (xi step exactly
-halved) and Richardson extrapolation.
+discretized on the box (-L, L), on nodes x = a sinh(xi/a) with xi
+uniform and a = 4/alpha: nearly uniform over the well and spread out
+geometrically along the tails, so the point count needed for a box
+grows like log L rather than L (Boyd, Chebyshev and Fourier Spectral
+Methods, 2001, ch. 17). Nothing here trusts the closed-form towers: the
+analytic levels set only the box and the limits of the search, and
+every state is found without being predicted.
 
-Nothing here trusts the closed-form towers. bound_spectrum takes a
-census of every eigenvalue of a small dense operator from the same
-builder on the same box at a coarse xi step (once more at half that
-step if two census values polish to one state), polishes each census
-value below the threshold by inverse iteration on the fine grid, and
-certifies every result by its own residual and its boundary leak, so
-no state is found because the formulas predicted it, and states they
-do not predict are found too. Every solve runs to its operator's
-certified_tol, the matvec's rounding floor, and states within
-_MAX_CONDITION times it are one: no energy scale is set by hand.
+verify_spectrum reads its states off two dense sinc-collocation
+eigensolves on that node map (Lund and Bowers, Sinc Methods, 1992), at
+xi steps h and h/1.25. Sinc converges exponentially in 1/h, so a level
+is certified when its energies at the two steps agree within half of
+tol_match, judged on the cluster mean of a multiple level, whose
+members split on the square-root scale while their mean does not.
+
+bound_spectrum, the blind scan, is the finite-difference pipeline: the
+three-point Laplacian scaled by the square roots of the node weights
+into a complex symmetric tridiagonal matrix, a dense census of a
+coarse operator on the same box (retaken at half its step if two
+values polish to one state), and shifted inverse iteration with
+tridiagonal LU from each census value, every state certified by its
+residual, the matvec's rounding floor, and its boundary leak.
+refine_eigenvalue pairs a state on N points with one solve on 2N+1
+(xi step exactly halved) for Richardson extrapolation.
 
 A PT-symmetric well (V(-x) = V(x)*) gives an operator H with J H J =
 conj(H), J the flip; the unitary Q = e^{-i pi/4} (I + i J) / sqrt(2)
 then makes Q^H H Q = Re H - (Im H) J real (Bender and Boettcher, PRL
 80, 5243, 1998; Mostafazadeh, J. Math. Phys. 43, 3944, 2002). For such
-a mirror-exact operator the census takes the eigenvalues of that real
-matrix, at about a third of the cost of the complex one, and its values
-are real with Im exactly 0 or come in exact conjugate pairs. Its
-spectrum is closed under conjugation exactly, with J conj(v) the
-eigenvector for conj(E), so one member of each conjugate pair of
-states is polished and refined and the other is its exact conjugate:
-the split defective level of the exchange fixed point A + alpha/2 = B,
-and the complex levels of the PT-degenerate family, cost one solve per
-pair on each grid.
-verify_spectrum discretizes each grid once: the box grid inside
-bound_spectrum, whose polished states are the coarse Richardson
-members, and the h/2 grid for the one refining solve per state (per
-pair, for conjugate states of a mirror-exact operator).
+a mirror-exact operator the dense solves take the eigenvalues of that
+real matrix, at about a third of the cost of the complex one, and its
+values are real with Im exactly 0 or come in exact conjugate pairs.
 The PT image V(-x)* of a well gives the operator J conj(H) J, whose
 eigenvalues are exactly the conjugates of H's, so a well and its image
-share one census by rule: the member with the larger (Im t2, Re st) is
-censused, and the other starts from the conjugates of those values.
-The two branches at C are PT images of each other. A well's census,
-and so its report, depends neither on which command verified it nor on
-what ran before. Each well is still polished and certified on its own
-operator.
+share their dense solves by one rule (_solved_member). The two
+branches at C are PT images of each other, and a well's report depends
+neither on which command verified it nor on what ran before.
 
 scipy, which is about two thirds of this package's import time, loads
 on the first solve or census, or the first read of eigvals, zgttrf or
@@ -138,19 +125,28 @@ _LEAK_HALF_WIDTH_FACTOR = 21.0
 # two converged runs reporting the same state can differ by roughly
 # residual times the eigenvalue condition number, and at a defective
 # (exceptional) point that conditioning reaches 1e4; bound_spectrum
-# takes states within this many certified_tol of each other as one
+# takes states within this many certified_tol of each other as one, and
+# verify takes values within this many rounding errors of the threshold
+# as at it
 _MAX_CONDITION = 1e4
 # census values above the threshold that decay slower than this many
 # e-folds over the half-width are box continuum: they could only polish
 # into states the leak gate drops
 _CENSUS_MIN_DECAY_FOLDS = 10.0
-# largest dense census: its eigensolve takes about 2.5 s real and 7 s
-# complex on one core of a 2-vCPU VM. That is 3.6 times the largest
-# census in the test suite (415 points); deep wells and absurd boxes
-# past it fail loudly
+# largest dense matrix: bound_spectrum's census, and each of verify's
+# two sinc solves. A complex eigensolve at this size takes about 5 s on
+# one core of a 2-vCPU VM (10 s with eigenvectors); deep wells and
+# absurd boxes past it fail loudly, before the matrix is built
 _MAX_CENSUS_POINTS = 1_500
-# sweeps before eigen_near raises NoConvergence; the solves of a verify
-# converge in two to five
+# verify's coarser sinc step, in radians a node at the fastest local
+# oscillation over the well, and the factor its finer step is smaller
+_SINC_STEP = 0.6
+_SINC_REFINE = 1.25
+# a matched level is certified only when its energies at the two sinc
+# steps agree within this fraction of tol_match
+_AGREEMENT_FRACTION = 0.5
+# sweeps before eigen_near raises NoConvergence; the solves of a blind
+# scan converge in two to five
 _MAX_ITER = 60
 
 
@@ -443,32 +439,48 @@ def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> Eige
     )
 
 
-def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[complex]:
-    """The dense census of v, taken on one member of its PT pair.
+def _solved_member(v: PotentialCoefficients) -> tuple[PotentialCoefficients, bool]:
+    """The member of v's PT pair whose operator is solved, and whether it is v's image.
 
     v's PT image V(-x)* has the operator J conj(H) J, whose eigenvalues
-    are exactly the conjugates of H's. Of the two, the member with the
-    larger (Im t2, Re st) is censused, and v takes those values or their
-    conjugates, so a well and its image start from one census whichever
-    is verified first. On a PT-symmetric well the keys tie and v takes
-    its own census.
+    are exactly the conjugates of H's, with J conj(y) the eigenvector
+    for conj(E). Of the two, the member with the larger (Im t2, Re st)
+    is solved, and v takes its values or their conjugates, so a well
+    and its image share one solve whichever comes first. On a
+    PT-symmetric well the keys tie and v is solved itself.
     """
     image = v.pt_image()
     if (image.t2.imag, image.st.real) > (v.t2.imag, v.st.real):
-        # a real value keeps Im +0.0, as v's own census would give it
-        values = _canonical_census(image.t2, image.st, v.alpha, grid, halvings)
-        return sorted((complex(z.real, -z.imag or 0.0) for z in values), key=energy_sort_key)
-    return list(_canonical_census(v.t2, v.st, v.alpha, grid, halvings))
+        return image, True
+    return v, False
+
+
+def _conj(z: complex) -> complex:
+    # a real value keeps Im +0.0, as v's own solve would give it
+    return complex(z.real, -z.imag or 0.0)
+
+
+def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[complex]:
+    """The dense census of v, taken on the solved member of its PT pair."""
+    member, image = _solved_member(v)
+    values = _canonical_census(member.t2, member.st, v.alpha, grid, halvings)
+    if image:
+        return sorted(map(_conj, values), key=energy_sort_key)
+    return list(values)
+
+
+def _wave_squared(v: PotentialCoefficients) -> float:
+    # the square of the fastest local oscillation sqrt(|V| + alpha^2)
+    # that a bound state can have, with |V| <= |t2| + |st| / 2
+    return abs(v.t2) + 0.5 * abs(v.st) + v.alpha * v.alpha
 
 
 def _census_points(v: PotentialCoefficients, grid: Grid, halvings: int) -> int:
     # Points of the census on grid's box at a coarse xi step, halved
-    # `halvings` times: dxi is set by the fastest local oscillation
-    # sqrt(|V| + alpha^2) that a bound state can have, and the census
-    # never costs more points than grid itself. Raises DomainTooSmall
-    # past _MAX_CENSUS_POINTS.
-    v_max = abs(v.t2) + 0.5 * abs(v.st)
-    dxi = 0.5 / math.sqrt(v_max + v.alpha * v.alpha) / 2**halvings
+    # `halvings` times: dxi is set by the fastest local oscillation a
+    # bound state can have, and the census never costs more points than
+    # grid itself. Raises DomainTooSmall past _MAX_CENSUS_POINTS.
+    dxi = 0.5 / math.sqrt(_wave_squared(v)) / 2**halvings
     n = min(grid.N, max(3, _points(grid.L, v.alpha, dxi)))
     if n > _MAX_CENSUS_POINTS:
         raise DomainTooSmall(
@@ -738,6 +750,109 @@ def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
     return _verify_box(need, alpha)
 
 
+def _sinc_grids(v: PotentialCoefficients, levels, L: float) -> tuple[Grid, Grid]:
+    # verify's two sinc grids on the box (-L, L), at xi steps at most h
+    # and h / _SINC_REFINE. h takes _SINC_STEP radians a node at the
+    # fastest local oscillation a bound state can have over the well,
+    # and at most pi, two nodes a wavelength, at the walls, where a
+    # level's tail oscillates with wavenumber |Im sqrt(-E)| and the map
+    # spreads the nodes by cosh(xi_max / a). Raises DomainTooSmall past
+    # _MAX_CENSUS_POINTS, before any array is built.
+    h = _SINC_STEP / math.sqrt(_wave_squared(v))
+    wave = max((abs(cmath.sqrt(-lv.energy).imag) for lv in levels), default=0.0)
+    if wave > 0.0:
+        h = min(h, math.pi / (wave * math.hypot(1.0, L * v.alpha / _STRETCH)))
+    grids = []
+    for step in (h, h / _SINC_REFINE):
+        n = max(3, _points(L, v.alpha, step))
+        if n > _MAX_CENSUS_POINTS:
+            raise DomainTooSmall(
+                f"the sinc solves of this well on L = {L} need n = {n} points, "
+                f"above the budget of {_MAX_CENSUS_POINTS}; the well is too deep "
+                f"or the box too wide"
+            )
+        grids.append(Grid(L=L, N=n))
+    return grids[0], grids[1]
+
+
+def _sinc_eigen(v: PotentialCoefficients, grid: Grid, leaks: bool):
+    # Every eigenvalue of v's sinc operator on grid's nodes, sorted, each
+    # paired with the boundary leak of its eigenvector when leaks is set
+    # (else with None). On the nodes x = a sinh(xi / a) the operator is
+    # H = C^-1 (-D2 + diag(q + c^2 V)) C^-1 with c = cosh(xi / a),
+    # C = diag(c), q = 3/4 tanh^2(xi / a) / a^2 - 1 / (2 a^2) and D2 the
+    # sinc second derivative (Lund and Bowers, Sinc Methods, 1992): it is
+    # complex symmetric, and an eigenvector y holds sqrt(c) times the
+    # wavefunction.
+    import numpy as np
+
+    _bind_scipy()
+    n = grid.N
+    a = _STRETCH / v.alpha
+    dxi = _xi_step(grid, v.alpha)
+    xi = (np.arange(n) - 0.5 * (n - 1)) * dxi
+    x = a * np.sinh(xi / a)
+    c = np.cosh(xi / a)
+    t = np.tanh(xi / a)
+    k = np.arange(n)
+    # -D2 is Toeplitz: pi^2/3 on the diagonal, 2 (-1)^m / m^2 at offset m
+    band = np.empty(n)
+    band[0] = math.pi**2 / 3.0
+    band[1:] = 2.0 * (-1.0) ** k[1:] / (k[1:] * k[1:])
+    band /= dxi * dxi
+    mat = band[np.abs(k[:, None] - k)] / np.outer(c, c)
+    q = (0.75 * t * t - 0.5) / (a * a)
+    diag = (band[0] + q + c * c * v.evaluate(x, include_offset=False)) / (c * c)
+    # the nodes mirror to the bit, so the operator is mirror-exact when
+    # its diagonal is: then it takes the real form Re H - (Im H) J
+    real = bool(np.array_equal(diag[::-1], diag.conj()))
+    if real:
+        mat.flat[:: n + 1] = diag.real
+        mat[k, k[::-1]] -= diag.imag
+    else:
+        mat = mat.astype(np.complex128)
+        mat.flat[:: n + 1] = diag
+    if not leaks:
+        values = eigvals(mat, overwrite_a=True, check_finite=False)
+        return sorted(((complex(z), None) for z in values), key=lambda p: energy_sort_key(p[0]))
+    from scipy.linalg import eig
+
+    values, vectors = eig(mat, overwrite_a=True, check_finite=False)
+    if real:
+        # back from the real form: y = Q w with Q ~ I + iJ
+        vectors = vectors + 1j * vectors[::-1]
+    amplitude = np.abs(vectors) / np.sqrt(c)[:, None]
+    edge = np.abs(x) >= _EDGE_FRACTION * grid.L
+    edge[[0, -1]] = True
+    leak = amplitude[edge].max(axis=0) / amplitude.max(axis=0)
+    return sorted(
+        ((complex(z), float(r)) for z, r in zip(values, leak)), key=lambda p: energy_sort_key(p[0])
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _canonical_sinc(t2: complex, st: complex, alpha: float, coarse: Grid, fine: Grid):
+    # the sinc spectra of (t2, st) at both steps, with the leaks at the
+    # coarser; keyed on the operator alone, so a well's PT image, which
+    # takes the same grids, hits the entry its pair left
+    v = PotentialCoefficients(t2=t2, st=st, e0=0.0, alpha=alpha)
+    return tuple(_sinc_eigen(v, coarse, True)), tuple(_sinc_eigen(v, fine, False))
+
+
+def _sinc_spectra(v: PotentialCoefficients, coarse: Grid, fine: Grid):
+    # v's (value, leak) pairs at both steps, solved on one member of its
+    # PT pair (see _solved_member): the image's leaks are its member's,
+    # since J conj(y) mirrors y's amplitude and the edge nodes mirror
+    member, image = _solved_member(v)
+    spectra = _canonical_sinc(member.t2, member.st, v.alpha, coarse, fine)
+    if not image:
+        return spectra
+    return tuple(
+        sorted(((_conj(z), leak) for z, leak in pairs), key=lambda p: energy_sort_key(p[0]))
+        for pairs in spectra
+    )
+
+
 def _greedy_match(levels, numeric):
     # nearest-pair assignment with per-level capacity: a level of
     # multiplicity k absorbs up to k numeric eigenvalues. A simple level
@@ -773,85 +888,137 @@ def verify_spectrum(
 ) -> VerificationReport:
     """Certify the analytic towers against the numerical solver.
 
-    The analytic prediction fixes only the box size and re_limit;
-    bound_spectrum finds the states from its census alone. The base grid
-    is default_grid(p.alpha), or the box (-L, L) at its xi step when L
-    is given: L moves only the walls, and the resolution is not the
-    caller's to set. With auto_domain the half-width grows (same xi
-    step, so N grows like log L) until the slowest-decaying predicted
-    state fits with boundary leak under DEFAULT_MAX_LEAK. Every numeric
-    eigenvalue is Richardson refined before matching, since the raw
-    second-order discretization error at the default step is above
-    DEFAULT_TOL_MATCH: the state
-    bound_spectrum polished on the box grid is the coarse member, and
-    the h/2 grid is discretized once for all states. On a mirror-exact
-    h/2 operator, of two states that are exact conjugates only the one
-    below Im 0 takes the refining solve, and the other takes the
-    conjugate of its result; so the cluster mean of a split defective
-    level is exactly real. Matching is greedy
-    nearest-pair with capacity equal to the predicted multiplicity: a
-    doubly-predicted (defective) level absorbs the conjugate pair the
-    discretization splits it into, and is reported once, at the cluster
-    mean, where the splitting cancels to second order. The report PASSes
-    only if every analytic level took at least one numeric partner, no
+    The analytic prediction fixes only the box, the sinc steps and
+    re_limit; the states come from two dense sinc eigensolves alone. The
+    base grid is default_grid(p.alpha), or the box (-L, L) at its xi
+    step when L is given: L moves only the walls, and the resolution is
+    not the caller's to set. With auto_domain the half-width grows (same
+    xi step, so N grows like log L) until the slowest-decaying predicted
+    state fits with boundary leak under DEFAULT_MAX_LEAK. The report's
+    grid is that box; the sinc solves put their own nodes in it, at
+    steps h and h/1.25 set by the well (see _sinc_grids).
+
+    The numeric states are the eigenvalues at h/1.25 below re_limit, and
+    below the energies the step resolves, less the census's box
+    continuum. Each eigenvector at h is held to the leak gate. Matching
+    is greedy nearest-pair with capacity equal to the predicted
+    multiplicity: a doubly-predicted (defective) level absorbs the
+    conjugate pair the discretization splits it into, and is reported
+    once, at the cluster mean, where the splitting cancels. Each matched
+    level is matched at h as well, and its residual is the distance
+    between its means at the two steps; an unmatched state's residual
+    is its distance to the nearest value at h. The report PASSes only
+    if every analytic level took at least one numeric partner, no
     numeric state is left over, and the worst pairing error is within
     DEFAULT_TOL_MATCH.
 
     Raises:
-        DomainTooSmall: with auto_domain=False, when the base grid
-            clips a bound state (this is also how a deliberately small
-            box fails loudly rather than returning polluted numbers),
-            or when its half-width is below 1/kappa_max, the decay
-            length of the most tightly bound predicted level, before
-            any operator is built.
+        DomainTooSmall: a state's eigenvector leaks through the box
+            edge, with auto_domain=False (this is also how a
+            deliberately small box fails loudly rather than returning
+            polluted numbers), or when a narrow box is refused before
+            any solve; a sinc solve needs more than _MAX_CENSUS_POINTS
+            points, or a predicted level lies within the rounding floor
+            of the threshold, both before any solve; or a matched level's
+            means at the two steps differ by more than
+            _AGREEMENT_FRACTION of DEFAULT_TOL_MATCH, so the arithmetic
+            cannot certify it.
     """
     base = default_grid(p.alpha) if L is None else _verify_box(L, p.alpha)
     levels = _analytic_levels(p, branch)
     v = pcs_partner_coefficients(p, branch)
     geff = _auto_grid(base, levels, p.alpha) if auto_domain and levels else base
-    # a box narrower than the shortest decay length 1/kappa_max holds no
-    # state at all, so nothing polishes to leak: refuse it here, or it
-    # FAILs with every level unmatched. A grown box is 21/kappa_min wide
-    kappa_max = max((_decay_rate(lv.energy) for lv in levels), default=0.0)
-    if kappa_max > 0.0 and geff.L < 1.0 / kappa_max:
+    # a box whose edge the most tightly bound level reaches above the
+    # leak gate, e^(-kappa_max 0.95 L) > DEFAULT_MAX_LEAK, clips every
+    # state: refuse it here, or a squeezed state can land above the
+    # threshold as box continuum and the well FAIL with levels unmatched.
+    # A grown box is 21/kappa_min wide
+    kappas = [_decay_rate(lv.energy) for lv in levels]
+    kappa_max = max(kappas, default=0.0)
+    need = 0.0
+    if kappa_max > 0.0:
+        need = math.log(1.0 / DEFAULT_MAX_LEAK) / (_EDGE_FRACTION * kappa_max)
+    if geff.L < need:
         raise DomainTooSmall(
-            f"the box half-width L = {geff.L} is below the decay length "
-            f"1/kappa = {1.0 / kappa_max} of the most tightly bound level; "
-            f"no bound state fits in it"
+            f"the box half-width L = {geff.L} is too narrow for the decay length "
+            f"1/kappa = {1.0 / kappa_max} of the most tightly bound level: its tail "
+            f"stays above the leak gate out to L = {need}, so every state leaks "
+            f"through the box edge; enlarge the domain"
         )
     re_limit = max([0.0] + [lv.energy.real + 0.1 for lv in levels])
+    coarse_grid, fine_grid = _sinc_grids(v, levels, geff.L)
+    # the finer solve rounds its values by about eps (pi / dxi)^2, the
+    # scale of its largest entries; closer to the threshold than
+    # _MAX_CONDITION times that, a level cannot be told from the box
+    # continuum, so it is refused before any solve
+    floor = _MAX_CONDITION * math.ulp(1.0) * (math.pi / _xi_step(fine_grid, p.alpha)) ** 2
+    if min(kappas, default=math.inf) ** 2 <= floor:
+        raise DomainTooSmall(
+            f"the slowest-decaying level lies within {floor:.3e} of the continuum "
+            f"threshold, the rounding level of the sinc solves on this well, and "
+            f"cannot be told from the box continuum"
+        )
+    coarse, fine = _sinc_spectra(v, coarse_grid, fine_grid)
 
-    raw = bound_spectrum(v, geff, re_limit=re_limit)
-    fine_op = discretize(v, geff.refined())
-    refined: list[EigenResult] = []
-    # raw is sorted, so of two conjugate states the one below Im 0
-    # comes first; on a mirror-exact h/2 operator the other refines to
-    # the conjugate of its refinement
-    owed: dict[complex, EigenResult] = {}
-    for r in raw:
-        ref = owed.pop(r.energy, None)
-        if ref is None:
-            ref = refine_eigenvalue(r, fine_op)
-            if r.energy.imag != 0.0 and fine_op.mirror_exact:
-                owed[r.energy.conjugate()] = _conjugate(ref)
-        refined.append(ref)
+    # below re_limit and below the energies the step resolves, less the
+    # box continuum: the census's rule, with the threshold widened by
+    # the rounding floor
+    limit = min(re_limit, _wave_squared(v))
+    min_decay = _CENSUS_MIN_DECAY_FOLDS / geff.L
 
-    assigned, left, right = _greedy_match(levels, refined)
+    def kept(z: complex) -> bool:
+        return z.real < limit and not (z.real > -floor and _decay_rate(z) < min_decay)
+
+    states = []
+    for z, leak in coarse:
+        if not kept(z):
+            continue
+        if leak > DEFAULT_MAX_LEAK:
+            raise DomainTooSmall(
+                f"state at E = {z} leaks {leak:.3e} through the box edge at "
+                f"L = {geff.L}; enlarge the domain"
+            )
+        states.append(EigenResult(energy=z, residual=0.0, boundary_leak=leak, iterations=0))
+    # each state of the finer solve, with the distance to and the leak of
+    # the nearest value of the coarser
+    found = []
+    for z, _ in fine:
+        if kept(z):
+            near, leak = min(coarse, key=lambda value: abs(value[0] - z))
+            found.append(
+                EigenResult(energy=z, residual=abs(z - near), boundary_leak=leak, iterations=0)
+            )
+
+    assigned, left, right = _greedy_match(levels, found)
+    partners, _, _ = _greedy_match(levels, states)
     matches = []
     for i, js in enumerate(assigned):
         if not js:
             continue
-        cluster = [refined[j] for j in js]
         # a defective level's conjugate-pair splitting cancels in the
         # cluster mean, which is the second-order-accurate estimate of
-        # the eigenvalue itself
-        mean = sum(r.energy for r in cluster) / len(cluster)
+        # the eigenvalue itself; so the level is judged by its mean at
+        # each step, not by its members
+        mean = sum(found[j].energy for j in js) / len(js)
+        coarser = [states[j] for j in partners[i]]
+        agreement = math.inf
+        if len(coarser) == len(js):
+            agreement = abs(mean - sum(r.energy for r in coarser) / len(coarser))
+        if not agreement <= _AGREEMENT_FRACTION * DEFAULT_TOL_MATCH:
+            lv = levels[i]
+            raise DomainTooSmall(
+                f"{lv.series} level {lv.n} at E = {lv.energy}: the sinc solves at xi "
+                f"steps {_xi_step(coarse_grid, p.alpha):.4g} and "
+                f"{_xi_step(fine_grid, p.alpha):.4g} agree on it only within "
+                f"{agreement:.3e}, above {_AGREEMENT_FRACTION} of tol_match; the "
+                f"discretization cannot certify this well"
+            )
         matches.append(
             MatchedLevel(
                 analytic=levels[i],
                 numeric=mean,
-                residual=max(r.residual for r in cluster),
-                boundary_leak=max(r.boundary_leak for r in cluster),
+                residual=agreement,
+                boundary_leak=max(r.boundary_leak for r in coarser),
                 abs_err=abs(mean - levels[i].energy),
             )
         )
@@ -869,6 +1036,6 @@ def verify_spectrum(
         tol_match=DEFAULT_TOL_MATCH,
         matches=matches,
         unmatched_analytic=tuple(levels[i] for i in left),
-        unmatched_numeric=tuple(refined[j] for j in right),
+        unmatched_numeric=tuple(found[j] for j in right),
         max_abs_err=max_err,
     )

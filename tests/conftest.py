@@ -14,3 +14,4 @@ def fresh_census_cache():
     # a test that counts dense eigensolves, or patches the census
     # operator, sees no census cached by the test before it
     numerics._canonical_census.cache_clear()
+    numerics._canonical_sinc.cache_clear()

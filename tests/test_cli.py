@@ -57,6 +57,19 @@ def shifted_by(shift):
     return lambda energies: tuple(e + shift for e in energies)
 
 
+def record_builds(monkeypatch):
+    """The grid of every sinc matrix verify builds from here on."""
+    eigen = numerics._sinc_eigen
+    grids = []
+
+    def recording(v, grid, leaks):
+        grids.append(grid)
+        return eigen(v, grid, leaks)
+
+    monkeypatch.setattr(numerics, "_sinc_eigen", recording)
+    return grids
+
+
 def same_bits(written, z):
     # a complex parsed back from {"re", "im"} is z to the bit, the sign
     # of a zero part included
@@ -198,28 +211,67 @@ class TestVerify:
         assert "enlarge the domain" in err
 
     def test_census_over_budget_exit_three_quickly(self, capsys):
-        # a huge but representable box gets a census of n = 5304 points,
-        # a dense eigensolve that would run past a minute
+        # a huge but representable box needs sinc solves of n = 4420
+        # points, dense eigensolves that would run past a minute
         start = time.perf_counter()
         code = run(["verify", "--A", "2", "--B", "3", "--L", "1e30"])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "n = 5304" in captured.err and "budget" in captured.err
+        assert "n = 4420" in captured.err and "budget" in captured.err
         assert elapsed < 10.0
 
     def test_census_over_budget_builds_no_operator(self, capsys, monkeypatch):
         # the box of L = 1e30 has 150,461 nodes at the default step: the
-        # census budget refuses it before any of them is discretized
-        built = []
-        discretize = numerics.discretize
-        monkeypatch.setattr(
-            numerics, "discretize", lambda v, grid: built.append(grid) or discretize(v, grid)
-        )
+        # budget refuses it before any operator is built
+        built = record_builds(monkeypatch)
         assert run(["verify", "--A", "2", "--B", "3", "--L", "1e30"]) == 3
         assert "budget" in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--A", "2", "--B", "3", "--L", "1e30"], ["--A", "20", "--B", "25"]],
+        ids=["L 1e30", "(20, 25)"],
+    )
+    def test_budget_refusal_loads_no_numpy(self, argv):
+        # the point budget is read before any array exists, in a fresh
+        # interpreter that has not loaded numpy
+        script = (
+            "import sys\n"
+            "from pcs_spectra import cli\n"
+            "code = cli.run(['verify', *sys.argv[1:]])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(pcs_spectra.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.split() == ["3", "False"]
+        assert "budget" in done.stderr
+
+    def test_verify_runs_no_finite_difference_code(self, capsys, monkeypatch):
+        # verify and bifurcation --verify-at read their states off the
+        # sinc solves alone; the finite-difference pipeline stays for
+        # bound_spectrum's callers and criterion 7, and is never entered
+        def refuse(*args, **kwargs):
+            raise AssertionError("the finite-difference pipeline ran")
+
+        for name in ("bound_spectrum", "discretize", "eigen_near", "refine_eigenvalue"):
+            monkeypatch.setattr(numerics, name, refuse)
+        wells = [
+            ["--A", "2", "--B", "3"], ["--A", "2.5", "--B", "3.2"], ["--A", "2.25", "--B", "3"],
+            ["--A", "2", "--B", "2.5"], [*A23, "--C", "1"], [*A23, "--C", "-1"],
+        ]
+        for well in wells:
+            code, d = run_json(capsys, ["verify", *well])
+            assert code == 0 and d["passed"], well
+        code, d = run_json(capsys, ["bifurcation", *A23, "--steps", "101", "--verify-at", "1"])
+        assert code == 0
+        [check] = d["verifications"]
+        assert check["plus"]["passed"] and check["minus"]["passed"]
 
     @pytest.mark.parametrize(
         "L, message",
@@ -228,26 +280,23 @@ class TestVerify:
     )
     def test_narrow_box_exit_three(self, capsys, monkeypatch, L, message):
         # (2, 3)'s most tightly bound level, E = -6.25, decays over
-        # 1/kappa = 0.4. A narrower box holds no state, so nothing could
-        # leak, and every level went unmatched, a FAIL: it is refused
-        # before any operator is built. A wider one clips a state
-        built = []
-        discretize = numerics.discretize
-        monkeypatch.setattr(
-            numerics, "discretize", lambda v, grid: built.append(grid) or discretize(v, grid)
-        )
+        # 1/kappa = 0.4, and its tail stays above the leak gate out to
+        # L = 7.76. A narrower box clips every state, and a squeezed state
+        # can land above the threshold, so every level went unmatched, a
+        # FAIL: it is refused before any operator is built
+        built = record_builds(monkeypatch)
         code = run(["verify", *A23, "--L", L, "--no-auto-domain"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert message in captured.err and "Traceback" not in captured.err
-        assert (built == []) == message.startswith("decay")
+        assert built == []
 
     def test_deep_well_census_names_its_size(self, capsys):
         code = run(["verify", "--A", "20", "--B", "25"])
         err = capsys.readouterr().err
         assert code == 3
-        assert "n = 1924" in err and "budget of 1500" in err
+        assert "n = 1603" in err and "budget of 1500" in err
 
     @pytest.mark.parametrize(
         "well, c",
@@ -512,36 +561,25 @@ class TestBifurcation:
 
     def test_one_dense_census_per_well_up_to_pt_image(self, capsys, monkeypatch):
         # (1, minus) is the PT image of (1, plus) and the same well as
-        # (-1, plus): each of the two wells is verified once, on its own
-        # operators, and one dense eigensolve serves both
-        eigvals, discretize = numerics.eigvals, numerics.discretize
-        calls, wells = [], []
-
-        def eigvals_counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigvals(*args, **kwargs)
-
-        def discretize_counted(v, grid):
-            wells.append(v)
-            return discretize(v, grid)
-
-        monkeypatch.setattr(numerics, "eigvals", eigvals_counted)
-        monkeypatch.setattr(numerics, "discretize", discretize_counted)
+        # (-1, plus): the pair of sinc solves of one well serves both,
+        # and the image takes their exact conjugates
+        built = record_builds(monkeypatch)
         argv = ["bifurcation", *A23, "--steps", "3", "--verify-at", "1", "--verify-at", "-1"]
         code, d = run_json(capsys, argv)
         assert code == 0
-        assert len(calls) == 1
-        assert len(wells) == 4 and len(set(wells)) == 2
-        assert all(v["numeric_conjugacy_err"] <= 1e-9 for v in d["verifications"])
-        # the next run finds that census cached, and prints the same report
-        calls.clear()
-        wells.clear()
+        [coarse, fine] = built
+        assert coarse.L == fine.L and coarse.N < fine.N
+        assert all(v["numeric_conjugacy_err"] == 0.0 for v in d["verifications"])
+        for check in d["verifications"]:
+            for plus, minus in zip(check["plus"]["matches"], check["minus"]["matches"]):
+                assert minus["numeric"] == {"re": plus["numeric"]["re"], "im": -plus["numeric"]["im"]}
+                assert minus["residual"] == plus["residual"]
+        # the next run finds those solves cached, and prints the same report
+        built.clear()
         code, again = run_json(capsys, argv)
-        assert code == 0 and calls == [] and len(wells) == 4
-        assert again == d
-        calls.clear()
+        assert code == 0 and built == [] and again == d
         code, _ = run_json(capsys, ["verify", *A23])
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(built) == 2
 
     @pytest.mark.parametrize("c", ["1", "0.5"])
     def test_well_reports_the_same_in_every_command(self, capsys, c):
@@ -593,7 +631,8 @@ class TestBifurcation:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("error: state at E = (1.33")
-        assert "+1.56" in captured.err and "enlarge the domain" in captured.err
+        assert "leaks" in captured.err and "enlarge the domain" in captured.err
+        assert "Traceback" not in captured.err
 
 
 @st.composite
@@ -912,6 +951,28 @@ def test_module_entry_point():
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ") and "enlarge the domain" in line
 
+
+
+def test_verdict_does_not_follow_the_blas_thread_count():
+    # (3, 3.5) sits at the exchange fixed point, where every level is a
+    # defective pair; its sinc energies move in their trailing bits with
+    # the BLAS thread count, its verdict and labels do not
+    src = os.path.dirname(os.path.dirname(pcs_spectra.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "pcs_spectra.cli", "verify", "--A", "3", "--B", "3.5"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        reports.append((done.returncode, json.loads(done.stdout)))
+    (one_code, one), (two_code, two) = reports
+    assert one_code == two_code == 0
+    assert [(m["series"], m["n"]) for m in one["matches"]] == [
+        (m["series"], m["n"]) for m in two["matches"]
+    ]
+    assert one["max_abs_err"] <= 1e-9 and two["max_abs_err"] <= 1e-9
 
 class TestParserReuse:
     """run() builds its parser once per process and shares it."""
