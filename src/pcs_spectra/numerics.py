@@ -16,13 +16,13 @@ is certified when its energies at the two steps agree within half of
 tol_match, judged on the cluster mean of a multiple level, whose
 members split on the square-root scale while their mean does not.
 
-bound_spectrum, the blind scan, is the finite-difference pipeline: the
-three-point Laplacian scaled by the square roots of the node weights
-into a complex symmetric tridiagonal matrix, a dense census of a
-coarse operator on the same box (retaken at half its step if two
-values polish to one state), and shifted inverse iteration with
-tridiagonal LU from each census value, every state certified by its
-residual, the matvec's rounding floor, and its boundary leak.
+bound_spectrum, the blind scan, polishes on the finite-difference
+operator: the three-point Laplacian scaled by the square roots of the
+node weights into a complex symmetric tridiagonal matrix. Its shifts
+are a census, every eigenvalue of the sinc operator on the same box at
+verify's coarser step, and from each it runs shifted inverse iteration
+with tridiagonal LU, every state certified by its residual, the
+matvec's rounding floor, and its boundary leak.
 refine_eigenvalue pairs a state on N points with one solve on 2N+1
 (xi step exactly halved) for Richardson extrapolation.
 
@@ -133,8 +133,8 @@ _MAX_CONDITION = 1e4
 # e-folds over the half-width are box continuum: they could only polish
 # into states the leak gate drops
 _CENSUS_MIN_DECAY_FOLDS = 10.0
-# largest dense matrix: bound_spectrum's census, and each of verify's
-# two sinc solves. A complex eigensolve at this size takes about 5 s on
+# largest dense matrix: each sinc solve, bound_spectrum's census and
+# verify's two. A complex eigensolve at this size takes about 5 s on
 # one core of a 2-vCPU VM (10 s with eigenvectors); deep wells and
 # absurd boxes past it fail loudly, before the matrix is built
 _MAX_CENSUS_POINTS = 1_500
@@ -292,7 +292,15 @@ class EigenResult:
     iterations: int
 
 
-def _mapped_operator(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
+def discretize(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
+    """Second-order finite-difference operator with Dirichlet walls.
+
+    The grid's N nodes are uniform in xi = a asinh(x/a), a = 4/alpha,
+    between the walls at -L and L. The potential is evaluated exactly
+    from (t2, st) at the nodes and the constant tail e0 is subtracted,
+    so bound states sit at negative real part and the continuum
+    threshold is at zero.
+    """
     import numpy as np
 
     # Three-point Laplacian on the nodes x_j = a sinh(xi_j / a), with
@@ -317,20 +325,6 @@ def _mapped_operator(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperato
         raise ValueError(f"node spacing {float(step.min())!r} is too small: 2/h^2 overflows")
     diag = (laplacian + v.evaluate(x, include_offset=False)).astype(np.complex128)
     return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid, nodes=x, weights=weights)
-
-
-def discretize(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
-    """Second-order finite-difference operator with Dirichlet walls.
-
-    The grid's N nodes are uniform in xi = a asinh(x/a), a = 4/alpha,
-    between the walls at -L and L. The potential is evaluated exactly
-    from (t2, st) at the nodes and the constant tail e0 is subtracted,
-    so bound states sit at negative real part and the continuum
-    threshold is at zero.
-    """
-    # the census builds its coarse operator with _mapped_operator too,
-    # so this name counts only the certified grids
-    return _mapped_operator(v, grid)
 
 
 def _boundary_leak(op: DiscretizedOperator, y: np.ndarray) -> float:
@@ -460,10 +454,10 @@ def _conj(z: complex) -> complex:
     return complex(z.real, -z.imag or 0.0)
 
 
-def _census(v: PotentialCoefficients, grid: Grid, halvings: int = 0) -> list[complex]:
+def _census(v: PotentialCoefficients, grid: Grid) -> list[complex]:
     """The dense census of v, taken on the solved member of its PT pair."""
     member, image = _solved_member(v)
-    values = _canonical_census(member.t2, member.st, v.alpha, grid, halvings)
+    values = _canonical_census(member.t2, member.st, v.alpha, grid)
     if image:
         return sorted(map(_conj, values), key=energy_sort_key)
     return list(values)
@@ -475,12 +469,12 @@ def _wave_squared(v: PotentialCoefficients) -> float:
     return abs(v.t2) + 0.5 * abs(v.st) + v.alpha * v.alpha
 
 
-def _census_points(v: PotentialCoefficients, grid: Grid, halvings: int) -> int:
-    # Points of the census on grid's box at a coarse xi step, halved
-    # `halvings` times: dxi is set by the fastest local oscillation a
-    # bound state can have, and the census never costs more points than
-    # grid itself. Raises DomainTooSmall past _MAX_CENSUS_POINTS.
-    dxi = 0.5 / math.sqrt(_wave_squared(v)) / 2**halvings
+def _census_points(v: PotentialCoefficients, grid: Grid) -> int:
+    # Points of the census on grid's box at verify's coarser sinc step,
+    # without its cap for complex tails, since the census is blind; the
+    # census never costs more points than grid itself. Raises
+    # DomainTooSmall past _MAX_CENSUS_POINTS.
+    dxi = _SINC_STEP / math.sqrt(_wave_squared(v))
     n = min(grid.N, max(3, _points(grid.L, v.alpha, dxi)))
     if n > _MAX_CENSUS_POINTS:
         raise DomainTooSmall(
@@ -491,38 +485,17 @@ def _census_points(v: PotentialCoefficients, grid: Grid, halvings: int) -> int:
     return n
 
 
-@functools.lru_cache(maxsize=2)
-def _canonical_census(
-    t2: complex, st: complex, alpha: float, grid: Grid, halvings: int
-) -> tuple[complex, ...]:
-    # Every eigenvalue of the mapped operator of (t2, st) on the same box
-    # at the step of _census_points, sorted. The values land within a
-    # few hundredths of the fine-grid levels (a few tenths for the two
-    # halves of a split exceptional pair), close enough for inverse
-    # iteration to take over. The key is the operator alone, not e0, and
-    # two entries hold both halvings of one PT pair; a hit returns the
-    # values the call would compute.
+@functools.lru_cache(maxsize=1)
+def _canonical_census(t2: complex, st: complex, alpha: float, grid: Grid) -> tuple[complex, ...]:
+    # Every eigenvalue of the sinc operator of (t2, st) on the same box
+    # at the step of _census_points, sorted. The values land within the
+    # finite-difference error of the box grid's levels, close enough for
+    # inverse iteration to take over. The key is the operator alone, not
+    # e0, so a well's PT image hits the entry its pair left; a hit
+    # returns the values the call would compute.
     v = PotentialCoefficients(t2=t2, st=st, e0=0.0, alpha=alpha)
-    n = _census_points(v, grid, halvings)
-    import numpy as np
-
-    _bind_scipy()
-    op = _mapped_operator(v, Grid(L=grid.L, N=n))
-    # On a mirror-exact operator the real matrix Re H - (Im H) J below
-    # is similar to H with no rounding in the similarity. The choice
-    # follows the operator, not (A, B, C): the PT-degenerate family
-    # 2(A - B) + alpha = 0 with C != 0 is mirror-exact too.
-    real = op.mirror_exact
-    mat = np.zeros((n, n), np.float64 if real else np.complex128)
-    mat.flat[:: n + 1] = op.diag.real if real else op.diag
-    mat.flat[1 :: n + 1] = op.offdiag
-    mat.flat[n :: n + 1] = op.offdiag
-    if real:
-        # subtract the anti-diagonal after the offdiagonals are written:
-        # at even n its two centre entries sit on them
-        mat.flat[n - 1 : n * n - 1 : n - 1] -= op.diag.imag
-    values = eigvals(mat, overwrite_a=True, check_finite=False)
-    return tuple(sorted((complex(z) for z in values), key=energy_sort_key))
+    n = _census_points(v, grid)
+    return tuple(z for z, _ in _sinc_eigen(v, Grid(L=grid.L, N=n), leaks=False))
 
 
 def _conjugate(res: EigenResult) -> EigenResult:
@@ -542,27 +515,30 @@ def bound_spectrum(
 ) -> list[EigenResult]:
     """All certified eigenvalues with Re(E) below the threshold.
 
-    Shifts come from a census: every eigenvalue of a small dense
-    operator on the same box with real part below re_limit, less those
-    above zero real part that decay too slowly across the box to pass
-    the leak gate. Each shift is polished by inverse iteration on the
-    given grid, to the operator's certified_tol, and eigenvalues closer
-    than _MAX_CONDITION times that tolerance are taken as the same
-    state. The census resolves levels only to a few hundredths, so two
-    close levels can merge into census values that polish to one state;
-    when two values of the census land on one state, the census is taken
-    once more at half its xi step and those values are polished too. The
-    first such landing raises the budget error at once when the retaken
-    census would exceed _MAX_CENSUS_POINTS, before the rest of the
-    polish. On a mirror-exact operator (J H J = conj(H) to the bit) the
-    census pairs each value below Im 0 with its exact conjugate: the
-    first is polished, and when its state lies off the real axis by
-    more than the merge radius the partner takes the conjugate state in
-    place of a solve of its own. That state carries the member's leak,
-    which is exactly equal because the edge nodes mirror, and its
-    residual, which is equal up to the matvec's summation order. A
-    member that polishes onto the axis leaves its partner to be
-    polished, so two close real states are both still found.
+    Shifts come from a census: every eigenvalue of the sinc operator on
+    the same box at verify's coarser step (see _census_points) with real
+    part below re_limit, less those above zero real part that decay too
+    slowly across the box to pass the leak gate. Each shift is polished
+    by inverse iteration on the given grid, to the operator's
+    certified_tol, and eigenvalues closer than _MAX_CONDITION times that
+    tolerance, the merge radius, are taken as the same state. On a
+    mirror-exact operator (J H J = conj(H) to the bit) the conjugate of
+    a state is a state too, taken by exact conjugation in place of a
+    solve of its own. It carries the member's leak, which is exactly
+    equal because the edge nodes mirror, and its residual, which is
+    equal up to the matvec's summation order. The census pairs each
+    value below Im 0 with its exact conjugate: the first is polished,
+    and when its state lies off the real axis by more than the merge
+    radius the partner takes the conjugate state. A member that polishes
+    onto the axis leaves its partner to be polished, so two close real
+    states are both still found. A real census value with another after
+    it is polished from below the axis, offset by the gap to the next
+    value or by the merge radius, whichever is smaller, since a real
+    start is equidistant from the two states of a conjugate pair. When
+    its state lies off the axis by more than the merge radius, the value
+    owes the conjugate state to the next census value if that value lies
+    nearer than the state does: the census split one defective level
+    along the axis. Otherwise the conjugate is kept at once.
     A well and its PT image share one census (see _census), so a well
     whose image is the member censused starts from the conjugates of
     that census; the polish, the gates and the result are its own, and
@@ -580,11 +556,10 @@ def bound_spectrum(
             would have dropped, at positive real part and decaying by
             fewer than 10 e-folds over the half-width, is taken as box
             continuum and dropped instead. Also raised, naming the size
-            it would need, when a census needs more than
-            _MAX_CENSUS_POINTS points; for the first census, before the
-            box operator is built.
+            it would need, when the census needs more than
+            _MAX_CENSUS_POINTS points, before the box operator is built.
     """
-    _census_points(v, grid, 0)
+    _census_points(v, grid)
     op = discretize(v, grid)
     merge = _MAX_CONDITION * op.certified_tol
     min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
@@ -600,13 +575,12 @@ def bound_spectrum(
             log.debug("shift %s: %s", shift, exc)
             return None
 
-    def keep(res: EigenResult | None) -> int | None:
-        # index in accepted of the state res is, if kept
+    def keep(res: EigenResult | None) -> None:
         if res is None or res.energy.real >= re_limit:
-            return None
+            return
         if res.boundary_leak > max_leak:
             if continuum(res.energy):
-                return None
+                return
             raise DomainTooSmall(
                 f"state at E = {res.energy} leaks {res.boundary_leak:.3e} "
                 f"through the box edge at L = {grid.L}; enlarge the domain"
@@ -615,42 +589,39 @@ def bound_spectrum(
             if abs(kept.energy - res.energy) < merge:
                 if res.residual < kept.residual:
                     accepted[k] = res
-                return k
+                return
         accepted.append(res)
-        return len(accepted) - 1
-
-    def scan(halvings: int):
-        # the kept index of each census value's state, in census order;
-        # conj(z) comes after z in the sorted census and may be owed the
-        # conjugate of z's state
-        owed: dict[complex, EigenResult] = {}
-        for z in _census(v, grid, halvings):
-            if z.real >= re_limit or continuum(z):
-                continue
-            res = owed.pop(z, None)
-            if res is None:
-                res = solve(z)
-                if res is not None and op.mirror_exact and abs(res.energy.imag) > merge:
-                    owed[z.conjugate()] = _conjugate(res)
-            yield keep(res)
 
     for s in seeds:
         keep(solve(complex(s)))
-    hits: set[int] = set()
-    retake = False
-    for k in scan(0):
-        if k is None:
+    census = [z for z in _census(v, grid) if z.real < re_limit and not continuum(z)]
+    # census value -> the conjugate state it is owed in place of a solve
+    owed: dict[complex, EigenResult] = {}
+    for i, z in enumerate(census):
+        res = owed.pop(z, None)
+        if res is not None:
+            keep(res)
             continue
-        if k in hits and not retake:
-            # two census values on one state: the coarse step merged two
-            # levels, which half the step separates. Refuse now, not
-            # after the rest of the polish, if that census is over budget
-            _census_points(v, grid, 1)
-            retake = True
-        hits.add(k)
-    if retake:
-        for _ in scan(1):
-            pass
+        following = census[i + 1] if i + 1 < len(census) else None
+        real = op.mirror_exact and z.imag == 0.0
+        start = z
+        if real and following is not None:
+            # a real start is equidistant from the two states of a
+            # conjugate pair, and inverse iteration crawls until rounding
+            # picks one
+            start = complex(z.real, -min(abs(following - z), merge))
+        res = solve(start)
+        keep(res)
+        if res is None or not op.mirror_exact or abs(res.energy.imag) <= merge:
+            continue
+        if not real:
+            # conj(z) comes after z in the sorted census
+            owed[z.conjugate()] = _conjugate(res)
+        elif following is not None and abs(following - z) < abs(res.energy - z):
+            # the coarse step split one pair of states along the axis
+            owed[following] = _conjugate(res)
+        else:
+            keep(_conjugate(res))
     accepted.sort(key=lambda r: energy_sort_key(r.energy))
     return accepted
 
