@@ -20,9 +20,10 @@ bound_spectrum, the blind scan, polishes on the finite-difference
 operator: the three-point Laplacian scaled by the square roots of the
 node weights into a complex symmetric tridiagonal matrix. Its shifts
 are a census, every eigenvalue of the sinc operator on the same box at
-verify's coarser step, and from each it runs shifted inverse iteration
-with tridiagonal LU, every state certified by its residual, the
-matvec's rounding floor, and its boundary leak.
+1.25 times verify's coarser step, the next rung of verify's ladder,
+and from each it runs shifted inverse iteration with tridiagonal LU,
+every state certified by its residual, the matvec's rounding floor,
+and its boundary leak.
 refine_eigenvalue pairs a state on N points with one solve on 2N+1
 (xi step exactly halved) for Richardson extrapolation.
 
@@ -39,13 +40,14 @@ share their dense solves by one rule (_solved_member). The two
 branches at C are PT images of each other, and a well's report depends
 neither on which command verified it nor on what ran before.
 
+The dense sinc solves, verify's and the census, call numpy.linalg.
 scipy, which is about two thirds of this package's import time, loads
-on the first solve or census, or the first read of eigvals, zgttrf or
-zgttrs from this module, so the closed-form half never pays for it.
-numpy, about 0.1 s of a fresh interpreter's start on a 2-vCPU VM, is
-imported inside the functions that build or read arrays, so it loads
-with the first discretize, solve or census: importing this module
-loads neither library.
+only for the tridiagonal LU of eigen_near: on its first solve, or the
+first read of zgttrf or zgttrs from this module, so neither the
+closed-form half nor verify pays for it. numpy, about 0.1 s of a fresh
+interpreter's start on a 2-vCPU VM, is imported inside the functions
+that build or read arrays, so it loads with the first discretize,
+solve or census: importing this module loads neither library.
 """
 
 from __future__ import annotations
@@ -82,26 +84,25 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_SCIPY_NAMES = frozenset({"eigvals", "zgttrf", "zgttrs"})
+_SCIPY_NAMES = frozenset({"zgttrf", "zgttrs"})
 
 
 def _bind_scipy() -> None:
-    # Bind scipy's eigvals, zgttrf and zgttrs as module globals, keeping
-    # any already set: a replacement installed with setattr before the
-    # first solve (a call counter, say) is the one the solves then call.
+    # Bind scipy's zgttrf and zgttrs as module globals, keeping any
+    # already set: a replacement installed with setattr before the first
+    # solve (a call counter, say) is the one the solves then call.
     g = globals()
     if _SCIPY_NAMES <= g.keys():
         return
-    from scipy.linalg import eigvals
     from scipy.linalg.lapack import zgttrf, zgttrs
 
-    for name, fn in (("eigvals", eigvals), ("zgttrf", zgttrf), ("zgttrs", zgttrs)):
+    for name, fn in (("zgttrf", zgttrf), ("zgttrs", zgttrs)):
         g.setdefault(name, fn)
 
 
 def __getattr__(name: str):
-    # PEP 562: runs only for names not yet in the module, so reading any
-    # one of the three binds all of them
+    # PEP 562: runs only for names not yet in the module, so reading
+    # either one binds both
     if name in _SCIPY_NAMES:
         _bind_scipy()
         return globals()[name]
@@ -136,10 +137,12 @@ _CENSUS_MIN_DECAY_FOLDS = 10.0
 # largest dense matrix: each sinc solve, bound_spectrum's census and
 # verify's two. A complex eigensolve at this size takes about 5 s on
 # one core of a 2-vCPU VM (10 s with eigenvectors); deep wells and
-# absurd boxes past it fail loudly, before the matrix is built
+# absurd boxes past it fail loudly, before the matrix is built. The
+# census, a rung coarser, reaches it on a wider box than verify does
 _MAX_CENSUS_POINTS = 1_500
 # verify's coarser sinc step, in radians a node at the fastest local
-# oscillation over the well, and the factor its finer step is smaller
+# oscillation over the well, and the factor its finer step is smaller;
+# the census steps this factor coarser
 _SINC_STEP = 0.6
 _SINC_REFINE = 1.25
 # a matched level is certified only when its energies at the two sinc
@@ -470,11 +473,13 @@ def _wave_squared(v: PotentialCoefficients) -> float:
 
 
 def _census_points(v: PotentialCoefficients, grid: Grid) -> int:
-    # Points of the census on grid's box at verify's coarser sinc step,
-    # without its cap for complex tails, since the census is blind; the
-    # census never costs more points than grid itself. Raises
-    # DomainTooSmall past _MAX_CENSUS_POINTS.
-    dxi = _SINC_STEP / math.sqrt(_wave_squared(v))
+    # Points of the census on grid's box at xi step _SINC_REFINE times
+    # verify's coarser step, the next rung coarser on verify's ladder,
+    # without its cap for complex tails, since the census is blind. Its
+    # values only start the polish, and at that step they still lie
+    # within rounding of the levels; the census never costs more points
+    # than grid itself. Raises DomainTooSmall past _MAX_CENSUS_POINTS.
+    dxi = _SINC_STEP * _SINC_REFINE / math.sqrt(_wave_squared(v))
     n = min(grid.N, max(3, _points(grid.L, v.alpha, dxi)))
     if n > _MAX_CENSUS_POINTS:
         raise DomainTooSmall(
@@ -488,11 +493,11 @@ def _census_points(v: PotentialCoefficients, grid: Grid) -> int:
 @functools.lru_cache(maxsize=1)
 def _canonical_census(t2: complex, st: complex, alpha: float, grid: Grid) -> tuple[complex, ...]:
     # Every eigenvalue of the sinc operator of (t2, st) on the same box
-    # at the step of _census_points, sorted. The values land within the
-    # finite-difference error of the box grid's levels, close enough for
-    # inverse iteration to take over. The key is the operator alone, not
-    # e0, so a well's PT image hits the entry its pair left; a hit
-    # returns the values the call would compute.
+    # at the step of _census_points, sorted, by numpy.linalg. The values
+    # land within the finite-difference error of the box grid's levels,
+    # close enough for inverse iteration to take over. The key is the
+    # operator alone, not e0, so a well's PT image hits the entry its
+    # pair left; a hit returns the values the call would compute.
     v = PotentialCoefficients(t2=t2, st=st, e0=0.0, alpha=alpha)
     n = _census_points(v, grid)
     return tuple(z for z, _ in _sinc_eigen(v, Grid(L=grid.L, N=n), leaks=False))
@@ -516,38 +521,38 @@ def bound_spectrum(
     """All certified eigenvalues with Re(E) below the threshold.
 
     Shifts come from a census: every eigenvalue of the sinc operator on
-    the same box at verify's coarser step (see _census_points) with real
-    part below re_limit, less those above zero real part that decay too
-    slowly across the box to pass the leak gate. Each shift is polished
-    by inverse iteration on the given grid, to the operator's
-    certified_tol, and eigenvalues closer than _MAX_CONDITION times that
-    tolerance, the merge radius, are taken as the same state. On a
-    mirror-exact operator (J H J = conj(H) to the bit) the conjugate of
-    a state is a state too, taken by exact conjugation in place of a
-    solve of its own. It carries the member's leak, which is exactly
-    equal because the edge nodes mirror, and its residual, which is
-    equal up to the matvec's summation order. The census pairs each
-    value below Im 0 with its exact conjugate: the first is polished,
-    and when its state lies off the real axis by more than the merge
-    radius the partner takes the conjugate state. A member that polishes
-    onto the axis leaves its partner to be polished, so two close real
-    states are both still found. A real census value with another after
-    it is polished from below the axis, offset by the gap to the next
-    value or by the merge radius, whichever is smaller, since a real
-    start is equidistant from the two states of a conjugate pair. When
-    its state lies off the axis by more than the merge radius, the value
-    owes the conjugate state to the next census value if that value lies
-    nearer than the state does: the census split one defective level
-    along the axis. Otherwise the conjugate is kept at once.
-    A well and its PT image share one census (see _census), so a well
-    whose image is the member censused starts from the conjugates of
-    that census; the polish, the gates and the result are its own, and
-    none of them depends on what was censused before. seeds are
-    optional extra shifts, polished first. Runs converging to Re(E) >=
-    re_limit are discarded; re_limit = 0 is the continuum threshold of
-    the e0-subtracted operator, and callers may raise it to chase
-    normalizable states whose energy has crept past zero real part in
-    the broken phase.
+    the same box at 1.25 times verify's coarser step, one rung coarser
+    on its ladder (see _census_points), with real part below re_limit,
+    less those above zero real part that decay too slowly across the box
+    to pass the leak gate. Each shift is polished by inverse iteration
+    on the given grid, to the operator's certified_tol, and eigenvalues
+    closer than _MAX_CONDITION times that tolerance, the merge radius,
+    are taken as the same state. On a mirror-exact operator (J H J =
+    conj(H) to the bit) the conjugate of a state is a state too, taken
+    by exact conjugation in place of a solve of its own. It carries the
+    member's leak, which is exactly equal because the edge nodes mirror,
+    and its residual, which is equal up to the matvec's summation order.
+    The census pairs each value below Im 0 with its exact conjugate: the
+    first is polished, and when its state lies off the real axis by more
+    than the merge radius the partner takes the conjugate state. A
+    member that polishes onto the axis leaves its partner to be
+    polished, so two close real states are both still found. A real
+    census value with another after it is polished from below the axis,
+    offset by the gap to the next value or by the merge radius,
+    whichever is smaller, since a real start is equidistant from the two
+    states of a conjugate pair. When its state lies off the axis by more
+    than the merge radius, the value owes the conjugate state to the
+    next census value if that value lies nearer than the state does: the
+    census split one defective level along the axis. Otherwise the
+    conjugate is kept at once. A well and its PT image share one census
+    (see _census), so a well whose image is the member censused starts
+    from the conjugates of that census; the polish, the gates and the
+    result are its own, and none of them depends on what was censused
+    before. seeds are optional extra shifts, polished first. Runs
+    converging to Re(E) >= re_limit are discarded; re_limit = 0 is the
+    continuum threshold of the e0-subtracted operator, and callers may
+    raise it to chase normalizable states whose energy has crept past
+    zero real part in the broken phase.
 
     Raises:
         DomainTooSmall: a converged state still has boundary amplitude
@@ -757,7 +762,6 @@ def _sinc_eigen(v: PotentialCoefficients, grid: Grid, leaks: bool):
     # wavefunction.
     import numpy as np
 
-    _bind_scipy()
     n = grid.N
     a = _STRETCH / v.alpha
     dxi = _xi_step(grid, v.alpha)
@@ -784,11 +788,9 @@ def _sinc_eigen(v: PotentialCoefficients, grid: Grid, leaks: bool):
         mat = mat.astype(np.complex128)
         mat.flat[:: n + 1] = diag
     if not leaks:
-        values = eigvals(mat, overwrite_a=True, check_finite=False)
+        values = np.linalg.eigvals(mat)
         return sorted(((complex(z), None) for z in values), key=lambda p: energy_sort_key(p[0]))
-    from scipy.linalg import eig
-
-    values, vectors = eig(mat, overwrite_a=True, check_finite=False)
+    values, vectors = np.linalg.eig(mat)
     if real:
         # back from the real form: y = Q w with Q ~ I + iJ
         vectors = vectors + 1j * vectors[::-1]
