@@ -23,7 +23,10 @@ are a census, every eigenvalue of the sinc operator on the same box at
 1.25 times verify's coarser step, the next rung of verify's ladder,
 and from each it runs shifted inverse iteration with tridiagonal LU,
 every state certified by its residual, the matvec's rounding floor,
-and its boundary leak.
+and its boundary leak. The census and verify's two solves are one
+path: one point budget (_sinc_grid), one cache of PT-pair solves
+(_sinc_spectrum) and one edge-leak rule (_edge_leak), which eigen_near
+reads too.
 refine_eigenvalue pairs a state on N points with one solve on 2N+1
 (xi step exactly halved) for Richardson extrapolation.
 
@@ -134,11 +137,11 @@ _MAX_CONDITION = 1e4
 # e-folds over the half-width are box continuum: they could only polish
 # into states the leak gate drops
 _CENSUS_MIN_DECAY_FOLDS = 10.0
-# largest dense matrix: each sinc solve, bound_spectrum's census and
-# verify's two. A complex eigensolve at this size takes about 5 s on
-# one core of a 2-vCPU VM (10 s with eigenvectors); deep wells and
-# absurd boxes past it fail loudly, before the matrix is built. The
-# census, a rung coarser, reaches it on a wider box than verify does
+# largest dense matrix of any sinc solve (see _sinc_grid). A complex
+# eigensolve at this size takes about 5 s on one core of a 2-vCPU VM
+# (10 s with eigenvectors); deep wells and absurd boxes past it fail
+# loudly, before the matrix is built. The census, a rung coarser,
+# reaches it on a wider box than verify does
 _MAX_CENSUS_POINTS = 1_500
 # verify's coarser sinc step, in radians a node at the fastest local
 # oscillation over the well, and the factor its finer step is smaller;
@@ -160,8 +163,8 @@ class Grid:
     The operator places the nodes uniformly in xi = a asinh(x/a), with
     a = 4/alpha set by the well (see discretize), so they are nearly
     uniform over the well and sparse along the tails. h = 2L/(N+1) is
-    the spacing N uniform nodes would have on the box; refined() halves
-    both h and the xi step exactly.
+    the spacing N uniform nodes would have on the box; N -> 2N + 1
+    halves both h and the xi step exactly.
     """
 
     L: float
@@ -185,10 +188,6 @@ class Grid:
     @property
     def h(self) -> float:
         return 2.0 * self.L / (self.N + 1)
-
-    def refined(self) -> "Grid":
-        """Grid with h exactly halved (N -> 2N + 1)."""
-        return Grid(L=self.L, N=2 * self.N + 1)
 
 
 def default_grid(alpha: float = 1.0) -> Grid:
@@ -330,15 +329,15 @@ def discretize(v: PotentialCoefficients, grid: Grid) -> DiscretizedOperator:
     return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid, nodes=x, weights=weights)
 
 
-def _boundary_leak(op: DiscretizedOperator, y: np.ndarray) -> float:
+def _edge_leak(nodes: np.ndarray, L: float, amplitude: np.ndarray):
+    # the largest wavefunction amplitude on |x| >= 0.95 L over its global
+    # maximum, of one vector or of each column; the outermost node at
+    # each end counts even on a grid too coarse to reach 0.95 L
     import numpy as np
 
-    # wavefunction amplitude |y| / sqrt(w); the outermost node at each
-    # end counts even on a grid too coarse to reach 0.95 L
-    amplitude = np.abs(y) / np.sqrt(op.weights)
-    edge = np.abs(op.nodes) >= _EDGE_FRACTION * op.grid.L
+    edge = np.abs(nodes) >= _EDGE_FRACTION * L
     edge[[0, -1]] = True
-    return float(amplitude[edge].max()) / float(amplitude.max())
+    return amplitude[edge].max(axis=0) / amplitude.max(axis=0)
 
 
 def eigen_near(op: DiscretizedOperator, shift: complex) -> EigenResult:
@@ -406,10 +405,12 @@ def eigen_near(op: DiscretizedOperator, shift: complex) -> EigenResult:
         theta = complex(np.vdot(v, hv))
         residual = float(np.linalg.norm(hv - theta * v))
         if residual <= tol:
+            # the amplitude of the wavefunction is |y| / sqrt(w)
+            amplitude = np.abs(sweep(v)) / np.sqrt(op.weights)
             return EigenResult(
                 energy=theta,
                 residual=residual,
-                boundary_leak=_boundary_leak(op, sweep(v)),
+                boundary_leak=float(_edge_leak(op.nodes, op.grid.L, amplitude)),
                 iterations=it + 1,
             )
         if it >= 3:
@@ -420,11 +421,11 @@ def eigen_near(op: DiscretizedOperator, shift: complex) -> EigenResult:
 def refine_eigenvalue(coarse: EigenResult, fine_op: DiscretizedOperator) -> EigenResult:
     """Richardson-extrapolated eigenvalue from the (h, h/2) grid pair.
 
-    coarse is a state converged on some grid, and fine_op must be the
-    operator on that grid's refined() grid. One solve on fine_op from
-    coarse.energy gives E_fine, and (4 E_fine - E_coarse) / 3 removes
-    the h^2 term. Like every eigen_near solve, it runs to
-    fine_op.certified_tol.
+    coarse is a state converged on some grid of N points, and fine_op
+    must be the operator on the same box with 2N+1 points, at exactly
+    half the xi step. One solve on fine_op from coarse.energy gives
+    E_fine, and (4 E_fine - E_coarse) / 3 removes the h^2 term. Like
+    every eigen_near solve, it runs to fine_op.certified_tol.
     """
     fine = eigen_near(fine_op, coarse.energy)
     energy = (4.0 * fine.energy - coarse.energy) / 3.0
@@ -457,50 +458,10 @@ def _conj(z: complex) -> complex:
     return complex(z.real, -z.imag or 0.0)
 
 
-def _census(v: PotentialCoefficients, grid: Grid) -> list[complex]:
-    """The dense census of v, taken on the solved member of its PT pair."""
-    member, image = _solved_member(v)
-    values = _canonical_census(member.t2, member.st, v.alpha, grid)
-    if image:
-        return sorted(map(_conj, values), key=energy_sort_key)
-    return list(values)
-
-
 def _wave_squared(v: PotentialCoefficients) -> float:
     # the square of the fastest local oscillation sqrt(|V| + alpha^2)
     # that a bound state can have, with |V| <= |t2| + |st| / 2
     return abs(v.t2) + 0.5 * abs(v.st) + v.alpha * v.alpha
-
-
-def _census_points(v: PotentialCoefficients, grid: Grid) -> int:
-    # Points of the census on grid's box at xi step _SINC_REFINE times
-    # verify's coarser step, the next rung coarser on verify's ladder,
-    # without its cap for complex tails, since the census is blind. Its
-    # values only start the polish, and at that step they still lie
-    # within rounding of the levels; the census never costs more points
-    # than grid itself. Raises DomainTooSmall past _MAX_CENSUS_POINTS.
-    dxi = _SINC_STEP * _SINC_REFINE / math.sqrt(_wave_squared(v))
-    n = min(grid.N, max(3, _points(grid.L, v.alpha, dxi)))
-    if n > _MAX_CENSUS_POINTS:
-        raise DomainTooSmall(
-            f"the census of this well on L = {grid.L} needs n = {n} points, "
-            f"above the budget of {_MAX_CENSUS_POINTS}; the well is too deep "
-            f"or the box too wide"
-        )
-    return n
-
-
-@functools.lru_cache(maxsize=1)
-def _canonical_census(t2: complex, st: complex, alpha: float, grid: Grid) -> tuple[complex, ...]:
-    # Every eigenvalue of the sinc operator of (t2, st) on the same box
-    # at the step of _census_points, sorted, by numpy.linalg. The values
-    # land within the finite-difference error of the box grid's levels,
-    # close enough for inverse iteration to take over. The key is the
-    # operator alone, not e0, so a well's PT image hits the entry its
-    # pair left; a hit returns the values the call would compute.
-    v = PotentialCoefficients(t2=t2, st=st, e0=0.0, alpha=alpha)
-    n = _census_points(v, grid)
-    return tuple(z for z, _ in _sinc_eigen(v, Grid(L=grid.L, N=n), leaks=False))
 
 
 def _conjugate(res: EigenResult) -> EigenResult:
@@ -522,9 +483,9 @@ def bound_spectrum(
 
     Shifts come from a census: every eigenvalue of the sinc operator on
     the same box at 1.25 times verify's coarser step, one rung coarser
-    on its ladder (see _census_points), with real part below re_limit,
-    less those above zero real part that decay too slowly across the box
-    to pass the leak gate. Each shift is polished by inverse iteration
+    on its ladder, with real part below re_limit, less those above zero
+    real part that decay too slowly across the box to pass the leak
+    gate. Each shift is polished by inverse iteration
     on the given grid, to the operator's certified_tol, and eigenvalues
     closer than _MAX_CONDITION times that tolerance, the merge radius,
     are taken as the same state. On a mirror-exact operator (J H J =
@@ -544,11 +505,12 @@ def bound_spectrum(
     than the merge radius, the value owes the conjugate state to the
     next census value if that value lies nearer than the state does: the
     census split one defective level along the axis. Otherwise the
-    conjugate is kept at once. A well and its PT image share one census
-    (see _census), so a well whose image is the member censused starts
-    from the conjugates of that census; the polish, the gates and the
-    result are its own, and none of them depends on what was censused
-    before. seeds are optional extra shifts, polished first. Runs
+    conjugate is kept at once. The census is a sinc solve sized,
+    budgeted and cached as verify's are (see _sinc_spectrum), so a well
+    and its PT image share one census: a well whose image is the member
+    censused starts from the conjugates of that census; the polish, the
+    gates and the result are its own, and none of them depends on what
+    was censused before. seeds are optional extra shifts, polished first. Runs
     converging to Re(E) >= re_limit are discarded; re_limit = 0 is the
     continuum threshold of the e0-subtracted operator, and callers may
     raise it to chase normalizable states whose energy has crept past
@@ -564,14 +526,15 @@ def bound_spectrum(
             it would need, when the census needs more than
             _MAX_CENSUS_POINTS points, before the box operator is built.
     """
-    _census_points(v, grid)
+    # the census steps one rung coarser than verify's coarser step,
+    # without its cap for complex tails, since the census is blind; its
+    # values only start the polish, and at that step they still lie
+    # within rounding of the levels. It never takes more points than grid
+    dxi = _SINC_STEP * _SINC_REFINE / math.sqrt(_wave_squared(v))
+    sinc = _sinc_grid(v, grid.L, dxi, grid.N)
     op = discretize(v, grid)
     merge = _MAX_CONDITION * op.certified_tol
-    min_decay = _CENSUS_MIN_DECAY_FOLDS / grid.L
     accepted: list[EigenResult] = []
-
-    def continuum(z: complex) -> bool:
-        return z.real > 0.0 and _decay_rate(z) < min_decay
 
     def solve(shift: complex) -> EigenResult | None:
         try:
@@ -584,7 +547,7 @@ def bound_spectrum(
         if res is None or res.energy.real >= re_limit:
             return
         if res.boundary_leak > max_leak:
-            if continuum(res.energy):
+            if _box_continuum(res.energy, grid.L):
                 return
             raise DomainTooSmall(
                 f"state at E = {res.energy} leaks {res.boundary_leak:.3e} "
@@ -599,7 +562,8 @@ def bound_spectrum(
 
     for s in seeds:
         keep(solve(complex(s)))
-    census = [z for z in _census(v, grid) if z.real < re_limit and not continuum(z)]
+    census = [z for z, _ in _sinc_spectrum(v, sinc, False)]
+    census = [z for z in census if z.real < re_limit and not _box_continuum(z, grid.L)]
     # census value -> the conjugate state it is owed in place of a solve
     owed: dict[complex, EigenResult] = {}
     for i, z in enumerate(census):
@@ -712,6 +676,12 @@ def _decay_rate(e: complex) -> float:
     return cmath.sqrt(-e).real
 
 
+def _box_continuum(z: complex, L: float, floor: float = 0.0) -> bool:
+    # above the threshold, widened by floor, and decaying by fewer than
+    # _CENSUS_MIN_DECAY_FOLDS e-folds over the half-width L
+    return z.real > -floor and _decay_rate(z) < _CENSUS_MIN_DECAY_FOLDS / L
+
+
 def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
     kappas = [_decay_rate(lv.energy) for lv in levels]
     kappa_min = min(kappas)
@@ -726,29 +696,32 @@ def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
     return _verify_box(need, alpha)
 
 
+def _sinc_grid(v: PotentialCoefficients, L: float, dxi: float, most: float = math.inf) -> Grid:
+    # the sinc grid on the box (-L, L) at xi step at most dxi, of at most
+    # most points. Raises DomainTooSmall past _MAX_CENSUS_POINTS, before
+    # any array is built
+    n = min(most, max(3, _points(L, v.alpha, dxi)))
+    if n > _MAX_CENSUS_POINTS:
+        raise DomainTooSmall(
+            f"the sinc solves of this well on L = {L} need n = {n} points, "
+            f"above the budget of {_MAX_CENSUS_POINTS}; the well is too deep "
+            f"or the box too wide"
+        )
+    return Grid(L=L, N=n)
+
+
 def _sinc_grids(v: PotentialCoefficients, levels, L: float) -> tuple[Grid, Grid]:
     # verify's two sinc grids on the box (-L, L), at xi steps at most h
     # and h / _SINC_REFINE. h takes _SINC_STEP radians a node at the
     # fastest local oscillation a bound state can have over the well,
     # and at most pi, two nodes a wavelength, at the walls, where a
     # level's tail oscillates with wavenumber |Im sqrt(-E)| and the map
-    # spreads the nodes by cosh(xi_max / a). Raises DomainTooSmall past
-    # _MAX_CENSUS_POINTS, before any array is built.
+    # spreads the nodes by cosh(xi_max / a)
     h = _SINC_STEP / math.sqrt(_wave_squared(v))
     wave = max((abs(cmath.sqrt(-lv.energy).imag) for lv in levels), default=0.0)
     if wave > 0.0:
         h = min(h, math.pi / (wave * math.hypot(1.0, L * v.alpha / _STRETCH)))
-    grids = []
-    for step in (h, h / _SINC_REFINE):
-        n = max(3, _points(L, v.alpha, step))
-        if n > _MAX_CENSUS_POINTS:
-            raise DomainTooSmall(
-                f"the sinc solves of this well on L = {L} need n = {n} points, "
-                f"above the budget of {_MAX_CENSUS_POINTS}; the well is too deep "
-                f"or the box too wide"
-            )
-        grids.append(Grid(L=L, N=n))
-    return grids[0], grids[1]
+    return _sinc_grid(v, L, h), _sinc_grid(v, L, h / _SINC_REFINE)
 
 
 def _sinc_eigen(v: PotentialCoefficients, grid: Grid, leaks: bool):
@@ -794,36 +767,31 @@ def _sinc_eigen(v: PotentialCoefficients, grid: Grid, leaks: bool):
     if real:
         # back from the real form: y = Q w with Q ~ I + iJ
         vectors = vectors + 1j * vectors[::-1]
-    amplitude = np.abs(vectors) / np.sqrt(c)[:, None]
-    edge = np.abs(x) >= _EDGE_FRACTION * grid.L
-    edge[[0, -1]] = True
-    leak = amplitude[edge].max(axis=0) / amplitude.max(axis=0)
+    leak = _edge_leak(x, grid.L, np.abs(vectors) / np.sqrt(c)[:, None])
     return sorted(
         ((complex(z), float(r)) for z, r in zip(values, leak)), key=lambda p: energy_sort_key(p[0])
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _canonical_sinc(t2: complex, st: complex, alpha: float, coarse: Grid, fine: Grid):
-    # the sinc spectra of (t2, st) at both steps, with the leaks at the
-    # coarser; keyed on the operator alone, so a well's PT image, which
-    # takes the same grids, hits the entry its pair left
+@functools.lru_cache(maxsize=2)
+def _canonical_sinc(t2: complex, st: complex, alpha: float, grid: Grid, leaks: bool):
+    # _sinc_eigen of (t2, st), keyed on the operator alone, not e0, so a
+    # well's PT image hits the entry its pair left; two entries hold
+    # verify's pair of solves, and a hit returns what the call computes
     v = PotentialCoefficients(t2=t2, st=st, e0=0.0, alpha=alpha)
-    return tuple(_sinc_eigen(v, coarse, True)), tuple(_sinc_eigen(v, fine, False))
+    return tuple(_sinc_eigen(v, grid, leaks))
 
 
-def _sinc_spectra(v: PotentialCoefficients, coarse: Grid, fine: Grid):
-    # v's (value, leak) pairs at both steps, solved on one member of its
-    # PT pair (see _solved_member): the image's leaks are its member's,
-    # since J conj(y) mirrors y's amplitude and the edge nodes mirror
+def _sinc_spectrum(v: PotentialCoefficients, grid: Grid, leaks: bool):
+    # v's (value, leak) pairs on grid, solved on one member of its PT
+    # pair (see _solved_member): the image takes the conjugate values and
+    # its member's leaks, since J conj(y) mirrors y's amplitude and the
+    # edge nodes mirror
     member, image = _solved_member(v)
-    spectra = _canonical_sinc(member.t2, member.st, v.alpha, coarse, fine)
+    pairs = _canonical_sinc(member.t2, member.st, v.alpha, grid, leaks)
     if not image:
-        return spectra
-    return tuple(
-        sorted(((_conj(z), leak) for z, leak in pairs), key=lambda p: energy_sort_key(p[0]))
-        for pairs in spectra
-    )
+        return pairs
+    return sorted(((_conj(z), leak) for z, leak in pairs), key=lambda p: energy_sort_key(p[0]))
 
 
 def _greedy_match(levels, numeric):
@@ -931,16 +899,16 @@ def verify_spectrum(
             f"threshold, the rounding level of the sinc solves on this well, and "
             f"cannot be told from the box continuum"
         )
-    coarse, fine = _sinc_spectra(v, coarse_grid, fine_grid)
+    coarse = _sinc_spectrum(v, coarse_grid, True)
+    fine = _sinc_spectrum(v, fine_grid, False)
 
     # below re_limit and below the energies the step resolves, less the
     # box continuum: the census's rule, with the threshold widened by
     # the rounding floor
     limit = min(re_limit, _wave_squared(v))
-    min_decay = _CENSUS_MIN_DECAY_FOLDS / geff.L
 
     def kept(z: complex) -> bool:
-        return z.real < limit and not (z.real > -floor and _decay_rate(z) < min_decay)
+        return z.real < limit and not _box_continuum(z, geff.L, floor)
 
     states = []
     for z, leak in coarse:

@@ -10,8 +10,7 @@ settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)
-def fresh_census_cache():
-    # a test that counts dense eigensolves, or patches the census
-    # operator, sees no census cached by the test before it
-    numerics._canonical_census.cache_clear()
+def fresh_sinc_cache():
+    # a test that counts dense eigensolves, or patches the sinc
+    # operator, sees no solve cached by the test before it
     numerics._canonical_sinc.cache_clear()

@@ -590,7 +590,7 @@ class TestBifurcation:
         _, minus = run_json(capsys, ["verify", *well, "--C", c, "--branch", "minus"])
         _, flipped = run_json(capsys, ["verify", *well, "--C", f"-{c}"])
         _, plus = run_json(capsys, ["verify", *well, "--C", c])
-        numerics._canonical_census.cache_clear()
+        numerics._canonical_sinc.cache_clear()
         _, d = run_json(capsys, ["bifurcation", *well, "--steps", "2", "--verify-at", c])
         [check] = d["verifications"]
         for key in keys:

@@ -1,6 +1,7 @@
 """Eigensolver and verification pipeline against independent oracles."""
 
 import dataclasses
+import math
 import random
 from unittest import mock
 
@@ -43,16 +44,17 @@ class TestGrid:
 
     def test_refined_halves_spacing_exactly(self):
         g = Grid(L=12.0, N=4000)
-        assert g.refined().h == g.h / 2
+        assert Grid(L=g.L, N=2 * g.N + 1).h == g.h / 2
 
     def test_refined_halves_xi_step_exactly(self):
         # Richardson pairs N with 2N + 1 nodes: the mapped grid's xi step
         # must halve exactly, and every coarse node must be a fine node
         g = Grid(L=42.0, N=6703)
+        refined = Grid(L=g.L, N=2 * g.N + 1)
         for alpha in (0.5, 1.0, 2.0):
-            assert numerics._xi_step(g.refined(), alpha) == numerics._xi_step(g, alpha) / 2
+            assert numerics._xi_step(refined, alpha) == numerics._xi_step(g, alpha) / 2
             v = pcs_partner_coefficients(SusyParams(2, 3, 0, alpha), PLUS)
-            fine = discretize(v, g.refined())
+            fine = discretize(v, refined)
             assert np.array_equal(fine.nodes[1::2], discretize(v, g).nodes)
 
     def test_validation(self):
@@ -155,6 +157,18 @@ def blind_scan(params):
     return numerics.bound_spectrum(v, grid, re_limit=re_limit), grid
 
 
+def census_grid(v, grid):
+    """The sinc grid of bound_spectrum's census on grid's box: one rung
+    coarser than verify's coarser step, on at most grid.N points."""
+    dxi = numerics._SINC_STEP * numerics._SINC_REFINE / math.sqrt(numerics._wave_squared(v))
+    return numerics._sinc_grid(v, grid.L, dxi, grid.N)
+
+
+def census(v, grid):
+    """bound_spectrum's census of v on grid's box, sorted."""
+    return [z for z, _ in numerics._sinc_spectrum(v, census_grid(v, grid), False)]
+
+
 def sinc_operator(v, L, n):
     """The census operator as a dense complex matrix.
 
@@ -247,7 +261,7 @@ class TestCensus:
     )
     def test_pt_well_matches_complex_reference(self, params, branch, n):
         v = pcs_partner_coefficients(params, branch)
-        values = np.array(numerics._census(v, Grid(L=42.0, N=n)))
+        values = np.array(census(v, Grid(L=42.0, N=n)))
         assert values.size == n
         # closed under conjugation to the bit, and real levels exactly real
         assert is_conjugate_closed(values)
@@ -266,7 +280,7 @@ class TestCensus:
         # the census of this well takes 156 points at L = 42
         v = pcs_partner_coefficients(SusyParams(2, 3, 0.5, 1), BranchSign.MINUS)
         assert not discretize(v, Grid(L=42.0, N=148)).mirror_exact
-        values = numerics._census(v, Grid(L=42.0, N=148))
+        values = census(v, Grid(L=42.0, N=148))
         reference = dense_reference(v, 42.0, 148)
         pair_off(values, reference, 1e-9 * np.maximum(1.0, np.abs(reference)))
 
@@ -278,18 +292,21 @@ class TestCensus:
             pytest.param(SusyParams(2.25, 3, 0, 1), id="(2.25, 3)"),
         ],
     )
-    def test_census_step_resolves_the_levels(self, params):
+    def test_census_step_resolves_the_levels(self, monkeypatch, params):
         # on verify's box the census takes its own step, one rung coarser
         # than verify's, and still lands within rounding of every simple
         # level: 4.0e-12, 1.3e-13 and 6.0e-12 here. At 1.0 rad a node the
         # census is 9.3e-7 off on (2, 3)
-        v, grid, _ = verify_box(params)
-        assert numerics._census_points(v, grid) < grid.N
-        census = np.array(numerics._census(v, grid))
+        calls = TestCensusScope.count_eigensolves(monkeypatch)
+        _, grid = blind_scan(params)
+        v = pcs_partner_coefficients(params, PLUS)
+        # the census bound_spectrum takes, in one eigensolve
+        assert calls == [census_grid(v, grid).N] and calls[0] < grid.N
+        values = np.array(census(v, grid))
         levels = [lv for lv in numerics._analytic_levels(params, PLUS) if lv.multiplicity == 1]
         assert levels
         for lv in levels:
-            assert np.abs(census - lv.energy).min() <= 1e-9
+            assert np.abs(values - lv.energy).min() <= 1e-9
 
     @staticmethod
     def assert_census_is_dense_spectrum(p, branch, n):
@@ -298,7 +315,7 @@ class TestCensus:
         # a complex symmetric matrix) times a few rounding errors of ||H||
         v = pcs_partner_coefficients(p, branch)
         grid = Grid(L=numerics.DEFAULT_HALF_WIDTH / p.alpha, N=n)
-        values = np.array(numerics._census(v, grid))
+        values = np.array(census(v, grid))
         h = sinc_operator(v, grid.L, values.size)
         reference, x = scipy.linalg.eig(h)
         kappa = np.linalg.norm(x, axis=0) ** 2 / np.abs(np.sum(x * x, axis=0))
@@ -349,11 +366,11 @@ class TestCensusScope:
         plus = pcs_partner_coefficients(params, PLUS)
         minus = pcs_partner_coefficients(params, MINUS)
         assert coefficient_bits(plus) != coefficient_bits(minus)
-        own = numerics._census(minus, grid)
-        numerics._canonical_census.cache_clear()
+        own = census(minus, grid)
+        numerics._canonical_sinc.cache_clear()
         calls = self.count_eigensolves(monkeypatch)
-        numerics._census(plus, grid)
-        shared = numerics._census(minus, grid)
+        census(plus, grid)
+        shared = census(minus, grid)
         assert len(calls) == 1
         assert value_bits(shared) == value_bits(own)
 
@@ -363,21 +380,21 @@ class TestCensusScope:
         plus = pcs_partner_coefficients(p, PLUS)
         minus = pcs_partner_coefficients(p, MINUS)
         # (2, 3, 1, plus) has Im t2 = 1 > -1, so it is the member censused
-        own = numerics._canonical_census(minus.t2, minus.st, p.alpha, grid)
-        numerics._canonical_census.cache_clear()
+        own = [z for z, _ in numerics._sinc_eigen(minus, census_grid(minus, grid), False)]
+        numerics._canonical_sinc.cache_clear()
         calls = self.count_eigensolves(monkeypatch)
-        shared = numerics._census(minus, grid)
-        first = numerics._census(plus, grid)
-        mirrored = numerics._census(
+        shared = census(minus, grid)
+        first = census(plus, grid)
+        mirrored = census(
             pcs_partner_coefficients(dataclasses.replace(p, C=-1.0), PLUS), grid
         )
         # one census per well up to PT image, whichever member comes first
         assert calls == [len(first)]
-        assert numerics._census(plus, grid) == first and len(calls) == 1
+        assert census(plus, grid) == first and len(calls) == 1
         assert shared == mirrored == sorted((z.conjugate() for z in first), key=energy_sort_key)
         # and exactly what the image takes from an empty cache
-        numerics._canonical_census.cache_clear()
-        assert value_bits(numerics._census(minus, grid)) == value_bits(shared)
+        numerics._canonical_sinc.cache_clear()
+        assert value_bits(census(minus, grid)) == value_bits(shared)
         # the image's own dense census agrees to rounding
         pair_off(shared, np.array(own), 1e-9 * np.maximum(1.0, np.abs(own)))
 
@@ -424,9 +441,11 @@ class TestEigenNear:
         "p", [SusyParams(2, 3, 0, 1), SusyParams(2, 3, 1, 1), SusyParams(1, 0, 0, 1)]
     )
     def test_converges_on_twice_refined_default_grid(self, p):
-        # N = 16,003: the matvec's rounding floor, 8.6e-9, is the
-        # tolerance, so a solve never chases a residual below it
-        op = discretize(pcs_partner_coefficients(p, PLUS), default_grid().refined().refined())
+        # N = 16,003, the default grid refined twice: the matvec's
+        # rounding floor, 8.6e-9, is the tolerance, so a solve never
+        # chases a residual below it
+        g = default_grid()
+        op = discretize(pcs_partner_coefficients(p, PLUS), Grid(L=g.L, N=4 * g.N + 3))
         assert op.certified_tol > 1e-9
         for series in two_series_spectrum(p):
             for e in series.energies:
@@ -439,7 +458,7 @@ class TestRefine:
     def test_refinement_beats_raw_error(self):
         g = Grid(L=12.0, N=2000)
         raw = eigen_near(discretize(POSCHL_TELLER_3, g), -1.0)
-        ref = refine_eigenvalue(raw, discretize(POSCHL_TELLER_3, g.refined()))
+        ref = refine_eigenvalue(raw, discretize(POSCHL_TELLER_3, Grid(L=g.L, N=2 * g.N + 1)))
         raw_err = abs(raw.energy.real + 1.0)
         ref_err = abs(ref.energy.real + 1.0)
         assert ref_err < raw_err / 50
@@ -578,6 +597,17 @@ class TestBoundSpectrum:
         want = [-6.25, -4.0, -2.25, -1.0, -0.25]
         assert [round(r.energy.real, 5) for r in states] == want
         assert max(r.boundary_leak for r in states) < 1e-8
+
+    def test_census_over_budget_builds_no_operator(self, monkeypatch):
+        # (2, 3) on a box of L = 1e30 needs 3,536 census points: the
+        # budget refuses the census before any operator is built
+        built = []
+        monkeypatch.setattr(numerics, "discretize", lambda v, grid: built.append(grid))
+        monkeypatch.setattr(numerics, "_sinc_eigen", lambda v, grid, leaks: built.append(grid))
+        v = pcs_partner_coefficients(SusyParams(2, 3, 0, 1), PLUS)
+        with pytest.raises(DomainTooSmall, match="n = 3536 points, above the budget of 1500"):
+            bound_spectrum(v, Grid(L=1e30, N=4000))
+        assert built == []
 
     def test_clipped_state_raises(self):
         with pytest.raises(DomainTooSmall):
@@ -760,7 +790,7 @@ class TestVerifySpectrum:
     )
     def test_report_does_not_depend_on_call_history(self, params):
         # a well verified right after its PT image, or before it, gives
-        # the report it gives from an empty census cache
+        # the report it gives from an empty cache of sinc solves
         def verify(branch):
             try:
                 return verify_spectrum(params, branch=branch)
@@ -768,11 +798,11 @@ class TestVerifySpectrum:
                 return str(exc)
 
         after = [verify(branch) for branch in (PLUS, MINUS)]
-        numerics._canonical_census.cache_clear()
+        numerics._canonical_sinc.cache_clear()
         before = [verify(branch) for branch in (MINUS, PLUS)][::-1]
         fresh = []
         for branch in (PLUS, MINUS):
-            numerics._canonical_census.cache_clear()
+            numerics._canonical_sinc.cache_clear()
             fresh.append(verify(branch))
         assert after == before == fresh
 
@@ -786,14 +816,7 @@ class TestVerifySpectrum:
     def test_one_census_per_call(self, monkeypatch, params):
         # blind scan on the box verify grows for the well: one census,
         # even where two levels lie close
-        calls = []
-        census = numerics._census
-
-        def census_counting(*args, **kwargs):
-            calls.append(args)
-            return census(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "_census", census_counting)
+        calls = TestCensusScope.count_eigensolves(monkeypatch)
         states, _ = blind_scan(params)
         assert len(states) == len(numerics._analytic_levels(params, PLUS))
         assert len(calls) == 1
