@@ -58,8 +58,8 @@ _CSV_HEADER = ("C", "branch", "series", "n", "re_E", "im_E", "residual")
 # VM, and both grow linearly with the step count
 MAX_STEPS = 10_000
 # most --verify-at values; each distinct well, the plus branch at C or
-# -C, is verified once, and C = 1 for (2, 3) takes about 0.12 s for
-# both of its wells on a 2-vCPU VM
+# -C, is verified once, and C = 1 for (2, 3) takes about 0.04 s for
+# both of its wells on a 2-vCPU VM with one BLAS thread
 MAX_VERIFY_AT = 100
 
 

@@ -14,7 +14,13 @@ eigensolves on that node map (Lund and Bowers, Sinc Methods, 1992), at
 xi steps h and h/1.25. Sinc converges exponentially in 1/h, so a level
 is certified when its energies at the two steps agree within half of
 tol_match, judged on the cluster mean of a multiple level, whose
-members split on the square-root scale while their mean does not.
+members split on the square-root scale while their mean does not. The
+two solves do not depend on each other and run side by side: the one
+at h, which takes eigenvectors for the leak gate, on a worker thread,
+because numpy's eig releases the GIL for its LAPACK call, while
+eigvals, the solve at h/1.25, holds it for its whole call (numpy
+2.4.6). Their values, and so every report, are the same as one after
+the other.
 
 bound_spectrum, the blind scan, polishes on the finite-difference
 operator: the three-point Laplacian scaled by the square roots of the
@@ -837,7 +843,13 @@ def verify_spectrum(
     xi step, so N grows like log L) until the slowest-decaying predicted
     state fits with boundary leak under DEFAULT_MAX_LEAK. The report's
     grid is that box; the sinc solves put their own nodes in it, at
-    steps h and h/1.25 set by the well (see _sinc_grids).
+    steps h and h/1.25 set by the well (see _sinc_grids). The two solves
+    overlap: the one at h, numpy's eig with eigenvectors, runs on a
+    worker thread, since eig releases the GIL for its LAPACK call; the
+    one at h/1.25, numpy's eigvals, runs on the calling thread, since
+    it holds the GIL for its whole call (numpy 2.4.6), so two eigvals
+    could not overlap. The worker is joined before the call returns or
+    raises, and an error it raised is raised to the caller.
 
     The numeric states are the eigenvalues at h/1.25 below re_limit, and
     below the energies the step resolves, less the census's box
@@ -899,8 +911,26 @@ def verify_spectrum(
             f"threshold, the rounding level of the sinc solves on this well, and "
             f"cannot be told from the box continuum"
         )
-    coarse = _sinc_spectrum(v, coarse_grid, True)
-    fine = _sinc_spectrum(v, fine_grid, False)
+    # the eig solve on a worker, the eigvals solve here (see above)
+    import threading
+
+    solved = {}
+
+    def solve_coarse():
+        try:
+            solved["coarse"] = _sinc_spectrum(v, coarse_grid, True)
+        except BaseException as exc:
+            solved["error"] = exc
+
+    worker = threading.Thread(target=solve_coarse, name="verify-coarse-solve")
+    worker.start()
+    try:
+        fine = _sinc_spectrum(v, fine_grid, False)
+    finally:
+        worker.join()
+    if "error" in solved:
+        raise solved.pop("error")
+    coarse = solved["coarse"]
 
     # below re_limit and below the energies the step resolves, less the
     # box continuum: the census's rule, with the threshold widened by

@@ -567,7 +567,9 @@ class TestBifurcation:
         argv = ["bifurcation", *A23, "--steps", "3", "--verify-at", "1", "--verify-at", "-1"]
         code, d = run_json(capsys, argv)
         assert code == 0
-        [coarse, fine] = built
+        # the two solves run side by side, so they are taken by size,
+        # not in the order they were built
+        [coarse, fine] = sorted(built, key=lambda grid: grid.N)
         assert coarse.L == fine.L and coarse.N < fine.N
         assert all(v["numeric_conjugacy_err"] == 0.0 for v in d["verifications"])
         for check in d["verifications"]:

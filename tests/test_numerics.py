@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -705,6 +707,67 @@ class TestVerifySpectrum:
         a = verify_spectrum(SusyParams(2.5, 3.2, 0, 1))
         b = verify_spectrum(SusyParams(2.5, 3.2, 0, 1))
         assert a == b
+
+    def test_two_solves_overlap_on_two_threads(self, monkeypatch):
+        # the eig solve at h runs on a worker thread beside the eigvals
+        # solve at h/1.25 on the caller's; the worker is joined before
+        # verify returns or raises, and what it raised reaches the caller
+        p = SusyParams(2, 3, 0, 1)
+        eigen = numerics._sinc_eigen
+        threads = {}
+
+        def recording(v, grid, leaks):
+            threads[leaks] = threading.get_ident()
+            return eigen(v, grid, leaks)
+
+        before = threading.active_count()
+        monkeypatch.setattr(numerics, "_sinc_eigen", recording)
+        numerics._canonical_sinc.cache_clear()
+        assert verify_spectrum(p).passed
+        assert threads.keys() == {True, False}
+        assert threads[True] != threads[False] == threading.get_ident()
+        assert threading.active_count() == before
+
+        def failing(v, grid, leaks):
+            if leaks:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigen(v, grid, leaks)
+
+        monkeypatch.setattr(numerics, "_sinc_eigen", failing)
+        numerics._canonical_sinc.cache_clear()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            verify_spectrum(p)
+        assert threading.active_count() == before
+
+    def test_concurrent_verifies_share_the_cache_safely(self):
+        # every verify's two threads share the PT-pair cache with each
+        # other and with other verifies: twelve at once, more threads than
+        # cores, under a short switch interval, each give the report of
+        # their own well. Energies are compared to 1e-9, not to the bit,
+        # since BLAS may split concurrent solves differently
+        wells = [SusyParams(2, 3, 0, 1), SusyParams(2, 3, 1, 1), SusyParams(2.5, 3.2, 0, 1)]
+        want = [verify_spectrum(p) for p in wells]
+        got = [None] * (4 * len(wells))
+
+        def verify(i):
+            got[i] = verify_spectrum(wells[i % len(wells)])
+
+        workers = [threading.Thread(target=verify, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for rep, ref in zip(got, want * 4):
+            assert rep.passed and rep.grid == ref.grid
+            assert [m.analytic for m in rep.matches] == [m.analytic for m in ref.matches]
+            for m, r in zip(rep.matches, ref.matches):
+                assert abs(m.numeric - r.numeric) <= 1e-9
 
     def test_no_auto_domain_fails_loudly(self):
         with pytest.raises(DomainTooSmall):
