@@ -45,7 +45,7 @@ from .core import (
 from .errors import PcsSpectraError
 from .numerics import verify_spectrum
 from .sl2 import Sl2Params, _correspondence_residuals, m_square_identities, solve_correspondence
-from .spectra import bifurcation_scan, two_series_spectrum
+from .spectra import _ENERGY_ORDER, _sweep, two_series_spectrum
 
 __all__ = ["RunConfig", "SCHEMA_VERSION", "build_parser", "run", "main"]
 
@@ -54,8 +54,8 @@ SCHEMA_VERSION = "1.0"
 _CSV_COMMANDS = ("spectrum", "verify", "bifurcation")
 _CSV_HEADER = ("C", "branch", "series", "n", "re_E", "im_E", "residual")
 # largest bifurcation C grid, which is built whole before the sweep:
-# 10,000 steps of (2, 3) take 0.9 s and print 11 MB of JSON on a 2-vCPU
-# VM, and both grow linearly with the step count
+# 10,000 steps of (2, 3) take about 0.5 s and print 11 MB of JSON on a
+# 2-vCPU VM, and both grow linearly with the step count
 MAX_STEPS = 10_000
 # most --verify-at values; each distinct well, the plus branch at C or
 # -C, is verified once, and C = 1 for (2, 3) takes about 0.04 s for
@@ -466,19 +466,6 @@ def _matched_levels(report) -> dict:
     return {(m.analytic.series, m.analytic.n): m.numeric for m in report.matches}
 
 
-def _point_payload(pt) -> dict:
-    # the branches' towers pair up by label and rung: Re lam is A for
-    # series1 and B - alpha/2 for series2 on both branches
-    towers = zip(pt.plus, pt.minus)
-    errs = [abs(e - f.conjugate()) for s, t in towers for e, f in zip(s.energies, t.energies)]
-    return {
-        "C": pt.C,
-        "energies_plus": pt.energies_plus,
-        "energies_minus": pt.energies_minus,
-        "conjugacy_err": max(errs, default=0.0),
-    }
-
-
 def _c_grid(lo: float, hi: float, steps: int) -> list[float]:
     # np.linspace(lo, hi, steps) to the bit, in plain floats: i*step + lo
     # with the last point set to hi, and (i/div)*span + lo when the step
@@ -500,10 +487,33 @@ def _c_grid(lo: float, hi: float, steps: int) -> list[float]:
 def _cmd_bifurcation(cfg: RunConfig):
     p0 = cfg.params
     c_grid = _c_grid(cfg.c_min, cfg.c_max, cfg.steps)
-    points = bifurcation_scan(p0, c_grid)
+    sweep = list(_sweep(p0, c_grid))
+    points = []
+    for c, plus, minus in sweep:
+        energies_plus = sorted(plus[0][1] + plus[1][1], key=_ENERGY_ORDER)
+        if minus is None:
+            # C = 0: both branches hold the plus towers
+            minus, energies_minus = plus, energies_plus
+        else:
+            energies_minus = sorted(minus[0][1] + minus[1][1], key=_ENERGY_ORDER)
+        # the branches' towers pair up by label and rung: Re lam is A for
+        # series1 and B - alpha/2 for series2 on both branches
+        errs = [
+            abs(e - f.conjugate())
+            for (_, es, _), (_, fs, _) in zip(plus, minus)
+            for e, f in zip(es, fs)
+        ]
+        points.append(
+            {
+                "C": c,
+                "energies_plus": energies_plus,
+                "energies_minus": energies_minus,
+                "conjugacy_err": max(errs, default=0.0),
+            }
+        )
     data = _head(cfg)
     data["c_grid"] = c_grid
-    data["points"] = [_point_payload(pt) for pt in points]
+    data["points"] = points
 
     # one report per well: (C, minus) is the well (-C, plus) to the bit,
     # so the plus branch at each signed coupling serves both branches,
@@ -532,11 +542,11 @@ def _cmd_bifurcation(cfg: RunConfig):
 
     def rows():
         out = [
-            (pt.C, branch.value, s.label, n, e.real, e.imag, "")
-            for pt in points
-            for branch, towers in ((BranchSign.PLUS, pt.plus), (BranchSign.MINUS, pt.minus))
-            for s in towers
-            for n, e in enumerate(s.energies)
+            (c, branch, label, n, e.real, e.imag, "")
+            for c, plus, minus in sweep
+            for branch, towers in (("plus", plus), ("minus", plus if minus is None else minus))
+            for label, energies, _ in towers
+            for n, e in enumerate(energies)
         ]
         for c_value, plus, minus in pairs:
             out += _verify_rows(plus, c_value, BranchSign.PLUS)
@@ -576,18 +586,26 @@ _HANDLERS = {
 
 
 @functools.cache
-def _layout(indent: str) -> tuple[str, str, str]:
-    """The inner indent, the item separator, and the template of a
-    complex written as {"re": ..., "im": ...}, for a value at indent."""
+def _layout(indent: str) -> tuple[str, str, str, str, str]:
+    """The inner indent and the item separator of a value at indent, and
+    the text before, between and after the parts of a complex written
+    there as {"re": ..., "im": ...}."""
     inner = indent + "  "
-    leaf = "{\n" + inner + '"re": %s,\n' + inner + '"im": %s\n' + indent + "}"
-    return inner, ",\n" + inner, leaf
+    head, mid, tail = "{\n" + inner + '"re": ', ",\n" + inner + '"im": ', "\n" + indent + "}"
+    return inner, ",\n" + inner, head, mid, tail
 
 
 def _to_json(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2) for the values a report holds: dicts
     with str keys, lists, tuples, str, int, float, bool and None, with
     each complex z written as the dict {"re": z.real, "im": z.imag}."""
+    cls = type(obj)
+    # a finite float and an exact dict, list or tuple, most of a report,
+    # skip the chain of leaf types below; a subclass takes it
+    if cls is float and obj - obj == 0.0:
+        return float.__repr__(obj)
+    if cls is dict or cls is list or cls is tuple:
+        return _container_json(obj, indent)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, float):
@@ -600,7 +618,8 @@ def _to_json(obj, indent: str = "") -> str:
             return "-Infinity"
         return float.__repr__(obj)
     if isinstance(obj, complex):
-        return _layout(indent)[2] % (_to_json(obj.real), _to_json(obj.imag))
+        _, _, head, mid, tail = _layout(indent)
+        return head + _to_json(obj.real) + mid + _to_json(obj.imag) + tail
     if obj is None:
         return "null"
     if obj is True:
@@ -609,7 +628,12 @@ def _to_json(obj, indent: str = "") -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner, sep, _ = _layout(indent)
+    return _container_json(obj, indent)
+
+
+def _container_json(obj, indent: str) -> str:
+    # _to_json of a dict, list or tuple, subclasses included
+    inner, sep = _layout(indent)[:2]
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -618,12 +642,13 @@ def _to_json(obj, indent: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # a finite complex is formatted in place: str of a float part is
-        # its shortest round-trip repr, as json writes it; a non-finite
-        # part, or a subclass's part (numpy's), takes the float path
-        leaf = _layout(inner)[2]
+        # a finite complex is formatted in place: the repr of a float
+        # part is its shortest round-trip form, as json writes it; a
+        # non-finite part, or a subclass's part (numpy's), takes the
+        # float path
+        _, _, head, mid, tail = _layout(inner)
         items = [
-            leaf % (v.real, v.imag)
+            f"{head}{v.real!r}{mid}{v.imag!r}{tail}"
             if type(v) is complex and cmath.isfinite(v)
             else _to_json(v, inner)
             for v in obj

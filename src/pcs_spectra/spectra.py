@@ -5,12 +5,19 @@ construction into a ladder: V_plus of one superpotential equals V_minus
 of the same superpotential with lam lowered by alpha, up to a constant.
 Iterating gives a tower of energies -lam_n^2 with lam_n = lam - n alpha,
 one tower per factorization, hence two towers for this well.
+
+A sweep of the PT-breaking coupling C walks the ladders once per C and
+branch (_sweep). bifurcation_scan packs that sweep into the public
+SpectrumSeries and BifurcationPoint types, and the CLI's bifurcation
+report reads the same sweep directly, so the two hold the same numbers
+to the bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -37,6 +44,10 @@ __all__ = [
 def energy_sort_key(e: complex):
     """Deterministic ordering of complex energies: real part, then imaginary."""
     return (e.real, e.imag)
+
+
+# energy_sort_key's order as a key computed in C, for sorting many level sets
+_ENERGY_ORDER = operator.attrgetter("real", "imag")
 
 
 @dataclass(frozen=True)
@@ -112,9 +123,9 @@ def shape_invariance_step(w: Superpotential):
 _MAX_TOWER_LEVELS = 10_000
 
 
-def _walk_ladder(lam: complex, alpha: float, energy: complex, label: str) -> SpectrumSeries:
-    # The tower of the superpotential with this lam and factorization
-    # energy, whose numbers the caller has checked. Emit -lam_n^2 while
+def _walk_ladder(lam: complex, alpha: float, label: str) -> tuple[complex, ...]:
+    # The energies of the tower of the superpotential with this lam,
+    # whose numbers the caller has checked. Emit -lam_n^2 while
     # Re(lam_n) > 0; the strict inequality is the normalizability
     # condition for the rung's zero mode, validated against the
     # numerical solver rather than postulated. The rungs are the numbers
@@ -134,7 +145,7 @@ def _walk_ladder(lam: complex, alpha: float, energy: complex, label: str) -> Spe
         if lam.real < alpha:
             break
         lam = lam - alpha
-    return SpectrumSeries(label=label, energies=tuple(energies), factorization_energy=energy)
+    return tuple(energies)
 
 
 def two_series_spectrum(p, branch: BranchSign = BranchSign.PLUS):
@@ -156,9 +167,9 @@ def two_series_spectrum(p, branch: BranchSign = BranchSign.PLUS):
             i.e. Re(lam_0) / alpha exceeds that level budget.
     """
     w, w_x = dual_superpotentials(p, branch)
-    return (
-        _walk_ladder(w.lam, w.alpha, w.factorization_energy, "series1"),
-        _walk_ladder(w_x.lam, w_x.alpha, w_x.factorization_energy, "series2"),
+    return tuple(
+        SpectrumSeries(label, _walk_ladder(s.lam, s.alpha, label), s.factorization_energy)
+        for label, s in (("series1", w), ("series2", w_x))
     )
 
 
@@ -191,11 +202,9 @@ def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
 
     Each point is two_series_spectrum(replace(p0, C=C), branch) on both
     branches, bit for bit, and an input that path rejects raises the
-    same error. The sweep builds no parameter or superpotential objects
-    on the way: it checks p0 once, then computes each branch's (lam,
-    mu), the exchanged pair and both factorization energies with the
-    float operations of complexify and dual_superpotentials, and walks
-    the ladders on those numbers.
+    same error. The points are the private sweep's towers, packed into
+    SpectrumSeries; the CLI's bifurcation report reads the same sweep,
+    so it prints these numbers.
 
     Raises:
         ValueError: when a grid value is not finite, or a factorization
@@ -203,19 +212,39 @@ def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
         TowerTooLong: as two_series_spectrum.
     """
     points: list[BifurcationPoint] = []
-    for c in c_grid:
-        c = float(c)
-        if not points:
-            # p0 is a valid well at every C once it is at one
-            replace(p0, C=c)
-        plus = _scan_towers(p0, c, BranchSign.PLUS)
-        # at C = 0 minus would differ only in the signs of zero Im parts
-        minus = plus if c == 0.0 else _scan_towers(p0, c, BranchSign.MINUS)
+    for c, plus, minus in _sweep(p0, c_grid):
+        plus = tuple(SpectrumSeries(*tower) for tower in plus)
+        minus = plus if minus is None else tuple(SpectrumSeries(*tower) for tower in minus)
         points.append(BifurcationPoint(C=c, plus=plus, minus=minus))
     return points
 
 
-def _scan_towers(p0: SusyParams, c: float, branch: BranchSign):
+def _sweep(p0: SusyParams, c_grid):
+    """Yield (C, plus, minus) for each grid value, in order.
+
+    plus and minus are each branch's two towers as (label, energies,
+    factorization_energy) tuples, series1 first, with the numbers of
+    two_series_spectrum(replace(p0, C=C), branch); minus is None at
+    C = 0, where the branches coincide. The sweep builds no parameter or
+    superpotential objects on the way: it checks p0 once, then computes
+    each branch's (lam, mu), the exchanged pair and both factorization
+    energies with the float operations of complexify and
+    dual_superpotentials, and walks the ladders on those numbers. An
+    input the object path rejects raises its error, at the same point.
+    """
+    checked = False
+    for c in c_grid:
+        c = float(c)
+        if not checked:
+            # p0 is a valid well at every C once it is at one
+            replace(p0, C=c)
+            checked = True
+        plus = _branch_towers(p0, c, BranchSign.PLUS)
+        # at C = 0 minus would differ only in the signs of zero Im parts
+        yield c, plus, None if c == 0.0 else _branch_towers(p0, c, BranchSign.MINUS)
+
+
+def _branch_towers(p0: SusyParams, c: float, branch: BranchSign):
     alpha = p0.alpha
     calA, calB = _branch_pair(p0.A, p0.B, c, branch.sign)
     (lam, _, energy), (lam_x, _, energy_x) = _factorizations(calA, calB, alpha)
@@ -225,8 +254,9 @@ def _scan_towers(p0: SusyParams, c: float, branch: BranchSign):
     # half the float range, where the square overflows too.
     if not (cmath.isfinite(energy) and cmath.isfinite(energy_x)):
         # raises the object path's error for the first bad number
-        return two_series_spectrum(replace(p0, C=c), branch)
+        towers = two_series_spectrum(replace(p0, C=c), branch)
+        return tuple((s.label, s.energies, s.factorization_energy) for s in towers)
     return (
-        _walk_ladder(lam, alpha, energy, "series1"),
-        _walk_ladder(lam_x, alpha, energy_x, "series2"),
+        ("series1", _walk_ladder(lam, alpha, "series1"), energy),
+        ("series2", _walk_ladder(lam_x, alpha, "series2"), energy_x),
     )

@@ -1,5 +1,6 @@
 """Command-line contract: flags, config, schemas, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import pcs_spectra
 import pcs_spectra.spectra
-from pcs_spectra import BranchSign, SusyParams, cli, numerics
+from pcs_spectra import BranchSign, SusyParams, TowerTooLong, cli, numerics
 from pcs_spectra.cli import RunConfig, assemble_config, build_parser, run
 
 A23 = ["--A", "2", "--B", "3", "--alpha", "1"]
@@ -36,6 +37,14 @@ def run_csv(capsys, argv):
     out = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(out)))
     return code, rows
+
+
+def run_quietly(argv):
+    """run(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def edited_prediction(edit1=tuple, edit2=tuple):
@@ -637,6 +646,105 @@ class TestBifurcation:
         assert "Traceback" not in captured.err
 
 
+def scan_of(argv):
+    """bifurcation_scan on the C grid that the report argv asks for."""
+    cfg = assemble_config(build_parser().parse_args(argv))
+    grid = cli._c_grid(cfg.c_min, cfg.c_max, cfg.steps)
+    return pcs_spectra.spectra.bifurcation_scan(cfg.params, grid)
+
+
+@st.composite
+def scaled_bifurcations(draw):
+    # test_spectra's scaled_sweeps as flags: criterion 5's box scaled by
+    # 10^k with alpha != 1, and C endpoints that may be either signed zero
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    A, B = draw(st.floats(0.5, 3.5)), draw(st.floats(0.5, 3.5))
+    C = draw(st.floats(-1.5, 1.5))
+    alpha = draw(st.floats(0.5, 2.0).filter(lambda a: a != 1.0))
+    ends = st.floats(-1.5, 1.5) | st.sampled_from([0.0, -0.0])
+    lo, hi = sorted((draw(ends) * scale, draw(ends) * scale))
+    return [
+        f"--A={A * scale!r}", f"--B={B * scale!r}", f"--C={C * scale!r}",
+        f"--alpha={alpha * scale!r}", f"--C-min={lo!r}", f"--C-max={hi!r}",
+        "--steps", str(draw(st.sampled_from([1, 2, 101]))),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_bifurcations())
+@example(["--A=2.0", "--B=3.0", "--alpha=0.75", "--C-min=-0.0", "--C-max=0.0", "--steps", "2"])
+@example(["--A=2.0", "--B=3.0", "--alpha=0.75", "--C-min=0.0", "--C-max=-0.0", "--steps", "1"])
+@example(["--A=2e150", "--B=3e150", "--alpha=1.5e150", "--C-min=-0.0", "--C-max=1e150",
+          "--steps", "101"])
+def test_report_is_the_scan_bit_for_bit(flags):
+    argv = ["bifurcation", *flags]
+    points = scan_of(argv)
+    code, out, err = run_quietly(argv)
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert len(d["points"]) == len(points)
+    for written, pt in zip(d["points"], points):
+        assert written["C"].hex() == pt.C.hex()
+        for branch in ("plus", "minus"):
+            energies = getattr(pt, f"energies_{branch}")
+            assert len(written[f"energies_{branch}"]) == len(energies)
+            assert all(map(same_bits, written[f"energies_{branch}"], energies))
+        # the minus level is the conjugate of the plus level of its label
+        err = max(
+            [
+                abs(e - f.conjugate())
+                for s, t in zip(pt.plus, pt.minus)
+                for e, f in zip(s.energies, t.energies)
+            ],
+            default=0.0,
+        )
+        assert written["conjugacy_err"].hex() == err.hex()
+    code, out, err = run_quietly(argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == list(cli._CSV_HEADER)
+    want = [
+        (pt.C, branch, s.label, n, e)
+        for pt in points
+        for branch, towers in (("plus", pt.plus), ("minus", pt.minus))
+        for s in towers
+        for n, e in enumerate(s.energies)
+    ]
+    assert len(rows) == len(want)
+    for row, (c, branch, label, n, e) in zip(rows, want):
+        assert row[1:4] == [branch, label, str(n)] and row[6] == ""
+        assert float(row[0]).hex() == c.hex()
+        assert same_bits({"re": float(row[4]), "im": float(row[5])}, e)
+
+
+@pytest.mark.parametrize(
+    "well, error, message",
+    [
+        # the first rung overflows on both branches; plus raises first
+        (["--A", "2e160", "--B", "3e160", "--alpha", "1e160"], ValueError,
+         "factorization_energy must be finite"),
+        # only w's energy overflows: B - alpha/2 is 0
+        (["--A", "2e160", "--B", "5e159", "--alpha", "1e160"], ValueError,
+         "factorization_energy must be finite"),
+        # the exchanged pair overflows: B - alpha/2 is -inf
+        (["--A", "2", "--B=-1.7e308", "--alpha", "1.7e308"], ValueError,
+         "lam must be finite, got (-inf-0j)"),
+        # the level budget, on each tower
+        (["--A", "10000.5", "--B", "3"], TowerTooLong, "series1 would hold 10001 levels"),
+        (["--A", "2", "--B", "1e17", "--C-min", "0.5", "--C-max", "0.5"], TowerTooLong,
+         "series2 would hold 100000000000000000 levels"),
+    ],
+    ids=["both-energies", "w-energy", "exchanged-pair", "series1-budget", "series2-budget"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_raises_the_scan_s_error(well, error, message, fmt):
+    argv = ["bifurcation", *well, "--steps", "1", "--format", fmt]
+    with pytest.raises(error) as info:
+        scan_of(argv)
+    assert message in str(info.value)
+    assert run_quietly(argv) == (3, "", f"error: {info.value}\n")
+
+
 @st.composite
 def _c_ranges(draw):
     lo = draw(st.floats(allow_nan=False, allow_infinity=False))
@@ -1038,6 +1146,20 @@ class _Float(float):
         return "not a number"
 
 
+# containers json writes as their base type; the writer must not take
+# them for anything else
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 _TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=8)
 _FLOATS = (
     st.floats()
@@ -1081,6 +1203,10 @@ class TestJsonWriter:
     @given(_JSON_VALUES)
     @example({"a": [], "b": {}, "c": [[], {}, ()], "d": [{"e": [[]]}]})
     @example([_Float(-0.0), _Float(math.nan), _Float(-math.inf), True, 1, None])
+    @example(_List([1.0, _List(), "x"]))
+    @example(_Tuple((2.5, _Tuple(), None)))
+    @example(_Dict({"a": _Dict(), "b": [-0.0]}))
+    @example([True, _Float(1.0)])
     def test_equals_json_dumps(self, value):
         assert cli._to_json(value) == json.dumps(value, indent=2)
 
