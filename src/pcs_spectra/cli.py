@@ -45,7 +45,7 @@ from .core import (
 from .errors import PcsSpectraError
 from .numerics import verify_spectrum
 from .sl2 import Sl2Params, _correspondence_residuals, m_square_identities, solve_correspondence
-from .spectra import _ENERGY_ORDER, _sweep, two_series_spectrum
+from .spectra import _branch_energies, _sweep, two_series_spectrum
 
 __all__ = ["RunConfig", "SCHEMA_VERSION", "build_parser", "run", "main"]
 
@@ -490,17 +490,16 @@ def _cmd_bifurcation(cfg: RunConfig):
     sweep = list(_sweep(p0, c_grid))
     points = []
     for c, plus, minus in sweep:
-        energies_plus = sorted(plus[0][1] + plus[1][1], key=_ENERGY_ORDER)
-        if minus is None:
-            # C = 0: both branches hold the plus towers
-            minus, energies_minus = plus, energies_plus
-        else:
-            energies_minus = sorted(minus[0][1] + minus[1][1], key=_ENERGY_ORDER)
+        (_, plus1, _), (_, plus2, _) = plus
+        (_, minus1, _), (_, minus2, _) = minus
+        energies_plus = _branch_energies(plus1, plus2)
+        # at C = 0 both branches hold the plus towers
+        energies_minus = energies_plus if minus is plus else _branch_energies(minus1, minus2)
         # the branches' towers pair up by label and rung: Re lam is A for
         # series1 and B - alpha/2 for series2 on both branches
         errs = [
             abs(e - f.conjugate())
-            for (_, es, _), (_, fs, _) in zip(plus, minus)
+            for es, fs in ((plus1, minus1), (plus2, minus2))
             for e, f in zip(es, fs)
         ]
         points.append(
@@ -541,10 +540,11 @@ def _cmd_bifurcation(cfg: RunConfig):
     exit_code = 0 if all(rep.passed for rep in reports.values()) else 1
 
     def rows():
+        plus_name, minus_name = BranchSign.PLUS.value, BranchSign.MINUS.value
         out = [
             (c, branch, label, n, e.real, e.imag, "")
             for c, plus, minus in sweep
-            for branch, towers in (("plus", plus), ("minus", plus if minus is None else minus))
+            for branch, towers in ((plus_name, plus), (minus_name, minus))
             for label, energies, _ in towers
             for n, e in enumerate(energies)
         ]
@@ -600,23 +600,20 @@ def _to_json(obj, indent: str = "") -> str:
     with str keys, lists, tuples, str, int, float, bool and None, with
     each complex z written as the dict {"re": z.real, "im": z.imag}."""
     cls = type(obj)
-    # a finite float and an exact dict, list or tuple, most of a report,
-    # skip the chain of leaf types below; a subclass takes it
-    if cls is float and obj - obj == 0.0:
-        return float.__repr__(obj)
+    # an exact dict, list or tuple, most of a report, skips the chain of
+    # leaf types below; a subclass takes it
     if cls is dict or cls is list or cls is tuple:
         return _container_json(obj, indent)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+    # floats, the commonest leaf, are tested first
     if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
         # the spellings json gives the values JSON has no number for
         if obj != obj:
             return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
+        return "Infinity" if obj > 0.0 else "-Infinity"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, complex):
         _, _, head, mid, tail = _layout(indent)
         return head + _to_json(obj.real) + mid + _to_json(obj.imag) + tail

@@ -50,6 +50,11 @@ def energy_sort_key(e: complex):
 _ENERGY_ORDER = operator.attrgetter("real", "imag")
 
 
+def _branch_energies(series1, series2) -> tuple[complex, ...]:
+    # one branch's level set: its two towers' energies merged and sorted
+    return tuple(sorted(series1 + series2, key=_ENERGY_ORDER))
+
+
 @dataclass(frozen=True)
 class SpectrumSeries:
     """One tower of levels generated by a single superpotential.
@@ -83,11 +88,11 @@ class BifurcationPoint:
 
     @property
     def energies_plus(self) -> tuple[complex, ...]:
-        return _branch_energies(self.plus)
+        return _branch_energies(self.plus[0].energies, self.plus[1].energies)
 
     @property
     def energies_minus(self) -> tuple[complex, ...]:
-        return _branch_energies(self.minus)
+        return _branch_energies(self.minus[0].energies, self.minus[1].energies)
 
 
 def shape_invariance_step(w: Superpotential):
@@ -186,12 +191,6 @@ def broken_spectrum(p: SusyParams) -> BifurcationPoint:
     return bifurcation_scan(p, [p.C])[0]
 
 
-def _branch_energies(towers) -> tuple[complex, ...]:
-    merged = list(towers[0].energies) + list(towers[1].energies)
-    merged.sort(key=energy_sort_key)
-    return tuple(merged)
-
-
 def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
     """Level sets along a sweep of the PT-breaking coupling.
 
@@ -212,9 +211,12 @@ def bifurcation_scan(p0: SusyParams, c_grid) -> list[BifurcationPoint]:
         TowerTooLong: as two_series_spectrum.
     """
     points: list[BifurcationPoint] = []
-    for c, plus, minus in _sweep(p0, c_grid):
-        plus = tuple(SpectrumSeries(*tower) for tower in plus)
-        minus = plus if minus is None else tuple(SpectrumSeries(*tower) for tower in minus)
+    for c, towers_plus, towers_minus in _sweep(p0, c_grid):
+        plus = tuple(SpectrumSeries(*tower) for tower in towers_plus)
+        if towers_minus is towers_plus:
+            minus = plus
+        else:
+            minus = tuple(SpectrumSeries(*tower) for tower in towers_minus)
         points.append(BifurcationPoint(C=c, plus=plus, minus=minus))
     return points
 
@@ -224,8 +226,8 @@ def _sweep(p0: SusyParams, c_grid):
 
     plus and minus are each branch's two towers as (label, energies,
     factorization_energy) tuples, series1 first, with the numbers of
-    two_series_spectrum(replace(p0, C=C), branch); minus is None at
-    C = 0, where the branches coincide. The sweep builds no parameter or
+    two_series_spectrum(replace(p0, C=C), branch). At C = 0, where the
+    branches coincide, minus is plus. The sweep builds no parameter or
     superpotential objects on the way: it checks p0 once, then computes
     each branch's (lam, mu), the exchanged pair and both factorization
     energies with the float operations of complexify and
@@ -241,7 +243,7 @@ def _sweep(p0: SusyParams, c_grid):
             checked = True
         plus = _branch_towers(p0, c, BranchSign.PLUS)
         # at C = 0 minus would differ only in the signs of zero Im parts
-        yield c, plus, None if c == 0.0 else _branch_towers(p0, c, BranchSign.MINUS)
+        yield c, plus, plus if c == 0.0 else _branch_towers(p0, c, BranchSign.MINUS)
 
 
 def _branch_towers(p0: SusyParams, c: float, branch: BranchSign):

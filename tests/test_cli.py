@@ -79,6 +79,21 @@ def record_builds(monkeypatch):
     return grids
 
 
+def hexed(value):
+    """value with each float, and each part of a complex, as its hex:
+    == on the results compares bits, the signs of zeros included. A
+    complex becomes the {"re", "im"} dict a report writes."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return {"re": value.real.hex(), "im": value.imag.hex()}
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
 def same_bits(written, z):
     # a complex parsed back from {"re", "im"} is z to the bit, the sign
     # of a zero part included
@@ -677,44 +692,47 @@ def scaled_bifurcations(draw):
 @example(["--A=2e150", "--B=3e150", "--alpha=1.5e150", "--C-min=-0.0", "--C-max=1e150",
           "--steps", "101"])
 def test_report_is_the_scan_bit_for_bit(flags):
+    # test_report_energies_are_the_scan_s on scaled wells, signed-zero
+    # endpoints and short grids, down to the sign of every zero, and on
+    # every CSV row
     argv = ["bifurcation", *flags]
     points = scan_of(argv)
     code, out, err = run_quietly(argv)
     assert (code, err) == (0, "")
-    d = json.loads(out)
-    assert len(d["points"]) == len(points)
-    for written, pt in zip(d["points"], points):
-        assert written["C"].hex() == pt.C.hex()
-        for branch in ("plus", "minus"):
-            energies = getattr(pt, f"energies_{branch}")
-            assert len(written[f"energies_{branch}"]) == len(energies)
-            assert all(map(same_bits, written[f"energies_{branch}"], energies))
-        # the minus level is the conjugate of the plus level of its label
-        err = max(
-            [
-                abs(e - f.conjugate())
-                for s, t in zip(pt.plus, pt.minus)
-                for e, f in zip(s.energies, t.energies)
-            ],
-            default=0.0,
-        )
-        assert written["conjugacy_err"].hex() == err.hex()
+    want = [
+        {
+            "C": pt.C,
+            "energies_plus": pt.energies_plus,
+            "energies_minus": pt.energies_minus,
+            # the minus level is the conjugate of the plus level of its label
+            "conjugacy_err": max(
+                [
+                    abs(e - f.conjugate())
+                    for s, t in zip(pt.plus, pt.minus)
+                    for e, f in zip(s.energies, t.energies)
+                ],
+                default=0.0,
+            ),
+        }
+        for pt in points
+    ]
+    assert hexed(json.loads(out)["points"]) == hexed(want)
     code, out, err = run_quietly(argv + ["--format", "csv"])
     assert (code, err) == (0, "")
     header, *rows = csv.reader(io.StringIO(out))
     assert header == list(cli._CSV_HEADER)
+    written = [
+        [float(c), branch, label, int(n), complex(float(re), float(im)), residual]
+        for c, branch, label, n, re, im, residual in rows
+    ]
     want = [
-        (pt.C, branch, s.label, n, e)
+        [pt.C, branch, s.label, n, e, ""]
         for pt in points
         for branch, towers in (("plus", pt.plus), ("minus", pt.minus))
         for s in towers
         for n, e in enumerate(s.energies)
     ]
-    assert len(rows) == len(want)
-    for row, (c, branch, label, n, e) in zip(rows, want):
-        assert row[1:4] == [branch, label, str(n)] and row[6] == ""
-        assert float(row[0]).hex() == c.hex()
-        assert same_bits({"re": float(row[4]), "im": float(row[5])}, e)
+    assert hexed(written) == hexed(want)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from pcs_spectra import (
     bifurcation_scan,
     broken_spectrum,
     dual_superpotentials,
+    energy_sort_key,
     partner_potentials,
     shape_invariance_step,
     two_series_spectrum,
@@ -205,6 +206,10 @@ def test_bifurcation_scan_shape_and_order():
     # C > 0: conjugate partners, none real
     for pt in pts[1:]:
         assert all(abs(e.imag) > 0 for e in pt.energies_plus)
+        # each branch's levels are its towers' in energy_sort_key order
+        for towers, energies in ((pt.plus, pt.energies_plus), (pt.minus, pt.energies_minus)):
+            merged = towers[0].energies + towers[1].energies
+            assert energies == tuple(sorted(merged, key=energy_sort_key))
         conj = sorted((e.conjugate() for e in pt.energies_minus), key=lambda e: (e.real, e.imag))
         plus = sorted(pt.energies_plus, key=lambda e: (e.real, e.imag))
         assert max(abs(a - b) for a, b in zip(plus, conj)) == 0.0
