@@ -18,7 +18,8 @@ members split on the square-root scale while their mean does not. The
 two solves do not depend on each other and run side by side: the one
 at h, which takes eigenvectors for the leak gate, on a worker thread,
 because numpy's eig releases the GIL for its LAPACK call, while
-eigvals, the solve at h/1.25, holds it for its whole call (numpy
+eigvals, the solve at h/1.25, releases it only for matrices of more
+than 500 rows and holds it for its whole call below that (numpy
 2.4.6). Their values, and so every report, are the same as one after
 the other.
 
@@ -847,9 +848,10 @@ def verify_spectrum(
     overlap: the one at h, numpy's eig with eigenvectors, runs on a
     worker thread, since eig releases the GIL for its LAPACK call; the
     one at h/1.25, numpy's eigvals, runs on the calling thread, since
-    it holds the GIL for its whole call (numpy 2.4.6), so two eigvals
-    could not overlap. The worker is joined before the call returns or
-    raises, and an error it raised is raised to the caller.
+    it holds the GIL for its whole call on matrices of at most 500 rows
+    (numpy 2.4.6), so two eigvals could not overlap on most wells. The
+    worker is joined before the call returns or raises, and an error it
+    raised is raised to the caller.
 
     The numeric states are the eigenvalues at h/1.25 below re_limit, and
     below the energies the step resolves, less the census's box

@@ -6,11 +6,13 @@ of the same superpotential with lam lowered by alpha, up to a constant.
 Iterating gives a tower of energies -lam_n^2 with lam_n = lam - n alpha,
 one tower per factorization, hence two towers for this well.
 
-A sweep of the PT-breaking coupling C walks the ladders once per C and
-branch (_sweep). bifurcation_scan packs that sweep into the public
-SpectrumSeries and BifurcationPoint types, and the CLI's bifurcation
-report reads the same sweep directly, so the two hold the same numbers
-to the bit.
+A sweep of the PT-breaking coupling C walks the ladders once per C, on
+the plus branch (_sweep). The minus branch is the PT image of the plus
+branch, and its towers are the plus towers conjugated, exactly: the
+conjugates are the numbers its own ladder walk would give, to the bit.
+bifurcation_scan packs that sweep into the public SpectrumSeries and
+BifurcationPoint types, and the CLI's bifurcation report reads the same
+sweep directly, so the two hold the same numbers to the bit.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ class BifurcationPoint:
     """Both-branch tower pairs at one value of the PT-breaking coupling.
 
     At C = 0 the branches coincide, and plus and minus hold the same
-    (plus-branch) towers. energies_plus and energies_minus merge each
-    pair into one sorted level set.
+    (plus-branch) towers. Elsewhere each minus tower is the conjugate of
+    the plus tower of its label, level by level and to the bit.
+    energies_plus and energies_minus merge each pair into one sorted
+    level set.
     """
 
     C: float
@@ -183,8 +187,9 @@ def broken_spectrum(p: SusyParams) -> BifurcationPoint:
 
     The two branches are PT images of each other, so the minus-branch
     energies are the complex conjugates of the plus-branch energies
-    level by level; with the arithmetic used here the pairing is exact
-    to the bit.
+    level by level. The sweep walks only the plus ladders and takes the
+    minus towers by conjugation, which gives two_series_spectrum's
+    minus branch to the bit (_sweep says why).
     """
     if p.C == 0.0:
         raise ValueError("broken_spectrum requires C != 0; use two_series_spectrum")
@@ -229,11 +234,31 @@ def _sweep(p0: SusyParams, c_grid):
     two_series_spectrum(replace(p0, C=C), branch). At C = 0, where the
     branches coincide, minus is plus. The sweep builds no parameter or
     superpotential objects on the way: it checks p0 once, then computes
-    each branch's (lam, mu), the exchanged pair and both factorization
-    energies with the float operations of complexify and
+    the plus branch's (lam, mu), the exchanged pair and both
+    factorization energies with the float operations of complexify and
     dual_superpotentials, and walks the ladders on those numbers. An
     input the object path rejects raises its error, at the same point.
+
+    The ladders are walked once per C, on the plus branch; at C != 0
+    the minus towers are its energies and factorization energies
+    conjugated. That is two_series_spectrum's minus branch to the bit,
+    not just closely. _branch_pair negates C, so the minus branch starts
+    from the conjugates of the plus (calA, calB), and each float
+    operation of the ladder commutes with conjugation under IEEE
+    round-to-nearest, signed zeros included:
+
+    - complex minus float (calB - alpha/2, lam - alpha) subtracts 0.0
+      from Im, which leaves every Im, either zero included, as it is;
+    - the square of a + ib has Re a*a - b*b, blind to the sign of b,
+      and Im a*b + b*a, the sum of two equal products, so its rounding,
+      an underflow and the sign of a zero all follow the sign of b;
+    - unary minus negates both parts exactly.
+
+    Re lam is the same on both branches, so both walk the same rungs and
+    fail the same way, and the plus branch raises first, as on the
+    object path.
     """
+    A, B, alpha = p0.A, p0.B, p0.alpha
     checked = False
     for c in c_grid:
         c = float(c)
@@ -241,24 +266,25 @@ def _sweep(p0: SusyParams, c_grid):
             # p0 is a valid well at every C once it is at one
             replace(p0, C=c)
             checked = True
-        plus = _branch_towers(p0, c, BranchSign.PLUS)
-        # at C = 0 minus would differ only in the signs of zero Im parts
-        yield c, plus, plus if c == 0.0 else _branch_towers(p0, c, BranchSign.MINUS)
-
-
-def _branch_towers(p0: SusyParams, c: float, branch: BranchSign):
-    alpha = p0.alpha
-    calA, calB = _branch_pair(p0.A, p0.B, c, branch.sign)
-    (lam, _, energy), (lam_x, _, energy_x) = _factorizations(calA, calB, alpha)
-    # Every number the object path checks is finite when both energies
-    # are: a non-finite c makes Re(calA^2) infinite or NaN, and
-    # calB - alpha/2 or calA + alpha/2 overflows only past |B| or |A| of
-    # half the float range, where the square overflows too.
-    if not (cmath.isfinite(energy) and cmath.isfinite(energy_x)):
-        # raises the object path's error for the first bad number
-        towers = two_series_spectrum(replace(p0, C=c), branch)
-        return tuple((s.label, s.energies, s.factorization_energy) for s in towers)
-    return (
-        ("series1", _walk_ladder(lam, alpha, "series1"), energy),
-        ("series2", _walk_ladder(lam_x, alpha, "series2"), energy_x),
-    )
+        calA, calB = _branch_pair(A, B, c, 1.0)
+        (lam, _, energy), (lam_x, _, energy_x) = _factorizations(calA, calB, alpha)
+        # Every number the object path checks is finite when both energies
+        # are: a non-finite c makes Re(calA^2) infinite or NaN, and
+        # calB - alpha/2 or calA + alpha/2 overflows only past |B| or |A| of
+        # half the float range, where the square overflows too.
+        if cmath.isfinite(energy) and cmath.isfinite(energy_x):
+            series1 = _walk_ladder(lam, alpha, "series1")
+            series2 = _walk_ladder(lam_x, alpha, "series2")
+        else:
+            # raises the object path's error for the first bad number
+            series1, series2 = (s.energies for s in two_series_spectrum(replace(p0, C=c)))
+        plus = (("series1", series1, energy), ("series2", series2, energy_x))
+        if c == 0.0:
+            # minus would differ only in the signs of zero Im parts
+            yield c, plus, plus
+            continue
+        minus = (
+            ("series1", tuple(map(complex.conjugate, series1)), energy.conjugate()),
+            ("series2", tuple(map(complex.conjugate, series2)), energy_x.conjugate()),
+        )
+        yield c, plus, minus

@@ -555,14 +555,14 @@ class TestBifurcation:
         assert check["plus"]["passed"] is False and check["minus"]["passed"] is False
 
     def test_repeated_verify_at_verified_once(self, capsys, monkeypatch):
-        original = cli.verify_spectrum
+        original = numerics.verify_spectrum
         calls = []
 
         def counted(p, *args, **kwargs):
             calls.append(p.C)
             return original(p, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "verify_spectrum", counted)
+        monkeypatch.setattr(numerics, "verify_spectrum", counted)
         argv = ["bifurcation", *A23, "--steps", "2"]
         _, scan_rows = run_csv(capsys, argv)
         code, one = run_json(capsys, argv + ["--verify-at", "1"])

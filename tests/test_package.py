@@ -112,12 +112,15 @@ def _fresh(script: str, *args: str) -> dict:
 def test_closed_form_commands_never_load_scipy():
     # numpy is pinned too: only the commands that handle arrays load it,
     # and sl2 reports its four residuals as plain floats. verify's dense
-    # solves run on numpy.linalg, so it loads no scipy either
+    # solves run on numpy.linalg, so it loads no scipy either. The
+    # package and cli load numerics and sl2 only when a name of theirs
+    # is read, so a closed-form call compiles neither
     out = _fresh("""
         import contextlib, io, json, sys
 
         def loaded():
-            return [name for name in ("numpy", "scipy") if name in sys.modules]
+            names = ("numpy", "scipy", "pcs_spectra.numerics", "pcs_spectra.sl2")
+            return [name for name in names if name in sys.modules]
 
         import pcs_spectra
         from pcs_spectra import cli
@@ -134,16 +137,36 @@ def test_closed_form_commands_never_load_scipy():
             for stage, argvs in commands.items():
                 codes[stage] = [cli.run([*argv, *well]) for argv in argvs]
                 stages[stage] = loaded()
-        print(json.dumps({"file": pcs_spectra.__file__, "codes": codes, "loaded": stages}))
+        checks = {
+            "same": pcs_spectra.verify_spectrum is pcs_spectra.numerics.verify_spectrum,
+            "cli": cli.verify_spectrum is pcs_spectra.numerics.verify_spectrum,
+            # the written-out lazy names are the two modules' lists, and
+            # __all__ keeps its order
+            "lazy": pcs_spectra.__all__ == [
+                "__version__",
+                *pcs_spectra.core.__all__,
+                *pcs_spectra.spectra.__all__,
+                *pcs_spectra.numerics.__all__,
+                *pcs_spectra.sl2.__all__,
+                *pcs_spectra.errors.__all__,
+            ],
+        }
+        space = {}
+        exec("from pcs_spectra import *", space)
+        checks["star"] = set(space) - {"__builtins__"} == set(pcs_spectra.__all__)
+        print(json.dumps({
+            "file": pcs_spectra.__file__, "codes": codes, "loaded": stages, "checks": checks,
+        }))
     """)
     assert out == {
         "codes": {"closed": [0] * 4, "sl2": [0], "verify": [0]},
         "loaded": {
             "import": [],
             "closed": [],
-            "sl2": [],
-            "verify": ["numpy"],
+            "sl2": ["pcs_spectra.sl2"],
+            "verify": ["numpy", "pcs_spectra.numerics", "pcs_spectra.sl2"],
         },
+        "checks": {"same": True, "cli": True, "lazy": True, "star": True},
     }
 
 

@@ -19,6 +19,7 @@ from pcs_spectra import (
     energy_sort_key,
     partner_potentials,
     shape_invariance_step,
+    spectra,
     two_series_spectrum,
 )
 
@@ -257,6 +258,16 @@ def scaled_sweeps(draw):
 @given(scaled_sweeps())
 @example((SusyParams(2, 3, 0, 1), [0, 1, 0.5, -0.0, 0.0]))
 @example((SusyParams(2e150, 3e150, 1e150, 1e150), [0.0, 1e150, -1.5e150]))
+# subnormal C: on series2's last rung, lam = 0.5 -/+ 5e-324j, Re * Im
+# underflows to a signed zero
+@example((SusyParams(2, 3, 0, 1), [5e-324, -5e-324, 1e-300]))
+# the exceptional well, where one branch holds conjugate pairs of its own
+@example((SusyParams(2, 2.5, 0, 1), [0.5, -0.5]))
+# B - alpha/2 <= 0: series2 is empty on both branches
+@example((SusyParams(2, 0.4, 0, 1), [0.3, -0.3, -0.0]))
+# alpha != 1 at both ends of the scale
+@example((SusyParams(2e-150, 3e-150, 0, 0.75e-150), [1e-150, -0.5e-150, -0.0, 5e-324]))
+@example((SusyParams(1.5e150, 2.5e150, 0, 2e150), [0.4e150, -1.2e150, 0.0]))
 def test_scan_bitwise_equals_object_path(sweep):
     p0, grid = sweep
     points = bifurcation_scan(p0, grid)
@@ -267,6 +278,26 @@ def test_scan_bitwise_equals_object_path(sweep):
         assert tower_bits(pt.minus) == tower_bits(minus)
         if c == 0.0:
             assert pt.minus is pt.plus
+
+
+def test_scan_walks_only_the_plus_ladders(monkeypatch):
+    # two ladders per C, on the plus branch: the minus towers are taken by
+    # conjugation, never walked
+    walked = []
+    walk = spectra._walk_ladder
+
+    def counted(lam, alpha, label):
+        walked.append(lam)
+        return walk(lam, alpha, label)
+
+    monkeypatch.setattr(spectra, "_walk_ladder", counted)
+    grid = [0.25, -0.5, 1.0, 1e-300, -5e-324]
+    points = bifurcation_scan(SusyParams(2, 3, 0, 1), grid)
+    assert len(walked) == 2 * len(grid)
+    assert all(lam.imag == c for lam, c in zip(walked[::2], grid))
+    for pt in points:
+        for s, t in zip(pt.plus, pt.minus):
+            assert bits(t.energies) == bits([e.conjugate() for e in s.energies])
 
 
 def raised(fn, *args):
