@@ -11,6 +11,10 @@ at a fraction of its cost: json takes its pure-Python generator encoder
 whenever it indents. Payloads carry complex numbers as they are, and the
 writer spells each one as the object {"re": ..., "im": ...}.
 
+A known command's flags are parsed once, by that command's own parser;
+any other argv goes to the top-level parser, so help, usage lines and
+errors read as argparse's subcommand parsing would print them.
+
 Exit codes: 0 success (and verification PASS), 1 verification FAIL,
 2 usage or config error, or a report that cannot be written to --out,
 3 numeric failure, including finite inputs whose derived values
@@ -157,11 +161,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves a parser as it found it, so one serves every
-    # run() in a process; build_parser is looked up when first called,
-    # so a wrapper set on the module attribute sees that call
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """build_parser's parser and its table of command parsers by name.
+
+    Parsing leaves a parser as it found it, so one serves every run() in
+    a process; build_parser is looked up when first called, so a wrapper
+    set on the module attribute sees that call. argparse has no public
+    way to reach a subparser: the table is the choices of the parser's
+    one _SubParsersAction, a private class that the test suite pins.
+    """
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """parse_args of build_parser's parser, in one pass when argv[0]
+    names a command: the top-level parser would hand that command's
+    parser every later word and reject what it left over, as this does
+    without a pass of its own. Any other argv (empty, help, an unknown
+    or abbreviated command, a flag or -- first) goes through the
+    top-level parser."""
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 # SusyParams requires every well parameter; the CLI defaults these two.
@@ -684,9 +715,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def run(argv=None) -> int:
-    """Parse argv, dispatch, write the report; returns the exit code."""
+    """Parse argv, dispatch, write the report; returns the exit code.
+
+    A known command's flags are parsed once, by that command's parser."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

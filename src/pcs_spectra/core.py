@@ -21,7 +21,6 @@ code here that handles arrays.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,8 +45,6 @@ __all__ = [
     "physical_to_susy",
     "susy_to_physical",
 ]
-
-log = logging.getLogger(__name__)
 
 # Relative tolerance for the PT constraint, in units of alpha^2 for the
 # defect (see pt_constraint_check). Parameters are exact user-supplied
@@ -458,7 +455,6 @@ def physical_to_susy(phys: PcsPhysicalParams) -> list[SusyParams]:
     dust = 1e-12 * (abs(phys.V1) + a4)
     roots = [0.0 if abs(r) <= dust else r for r in roots]
     if any(r < 0.0 for r in roots):
-        log.debug("discarding negative quadratic roots %s for %s", roots, phys)
         raise NoRealFactorization(
             f"quadratic roots {roots} are not both nonnegative: "
             "no real superpotential parameters"
@@ -479,8 +475,6 @@ def physical_to_susy(phys: PcsPhysicalParams) -> list[SusyParams]:
             # a = 0 forces V2 = 0 and leaves the sign of B free
             for big_b in sorted({math.sqrt(t_b), -math.sqrt(t_b)}):
                 candidates.append(SusyParams(A=-half, B=big_b, C=0.0, alpha=phys.alpha))
-        else:
-            log.debug("root assignment a=0 incompatible with V2=%s", phys.V2)
     if not candidates:
         raise NoRealFactorization(f"no real parameter assignment reproduces {phys}")
     candidates.sort(key=lambda q: (q.A, q.B))

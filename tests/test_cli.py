@@ -1,5 +1,6 @@
 """Command-line contract: flags, config, schemas, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -1156,6 +1157,99 @@ class TestParserReuse:
         assert shared == fresh
         assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2, 0, 0]
         assert len(json.loads(shared[2][1])["verifications"]) == 2
+
+
+# argvs of every shape the parse stage sees: help, unknown and
+# abbreviated commands, flags before the command, --, stray words and
+# flags, bad values, and valid closed-form calls
+ODD_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["anal"],
+    ["ANALYZE", *A23],
+    ["analyze", "-h"],
+    ["verify", "--help"],
+    ["analyze", *A23, "-h"],
+    ["analyze", "--help", "--frobnicate"],
+    ["analyze", *A23, "--frobnicate"],
+    ["analyze", *A23, "--frobnicate", "7"],
+    ["analyze", *A23, "--tol=1e-9"],
+    ["verify", *A23, "--tol-match", "1e-3"],
+    ["analyze", "-x", *A23],
+    ["spectrum", *A23, "extra"],
+    ["exchange", *A23, "one", "two"],
+    ["analyze", "-", *A23],
+    ["analyze", "--", *A23],
+    ["analyze", "--A", "2", "--", "--B", "3"],
+    ["analyze", *A23, "--"],
+    ["--", "analyze", *A23],
+    ["analyze", "--A=2", "--B", "3"],
+    ["analyze", "--A", "-2", "--B", "-3"],
+    ["analyze", "--A=-2.5", "--B", "3", "--C", "-0.5"],
+    ["analyze", "--A"],
+    ["analyze", "--A", "2", "--A", "5", "--B", "3"],
+    ["analyze", "--a", "2", "--B", "3"],
+    ["analyze", *A23, "--br", "minus"],
+    ["analyze", *A23, "--branch", "sideways"],
+    ["bifurcation", *A23, "--steps", "x"],
+    ["bifurcation", *A23, "--verify", "1"],
+    ["bifurcation", *A23, "--verify-at", "x"],
+    ["--A", "2", "analyze", "--B", "3"],
+    ["-h", "analyze"],
+    ["analyze", *A23, "--format", "xml"],
+    ["analyze", *A23, "--format", "csv"],
+    ["analyze"],
+    ["analyze", *A23],
+    ["spectrum", *A23, "--branch", "minus", "--C", "0.3", "--format", "csv"],
+    ["sl2", *A23],
+    ["exchange", *A23, "--C", "-0.5"],
+    ["bifurcation", *A23, "--steps", "3", "--C-min", "-1"],
+    ["bifurcation", *A23, "--C-min=-1e308", "--C-max", "1e308", "--steps", "3"],
+]
+
+
+class TestOnePass:
+    """run() parses a known command's flags with that command's parser
+    alone, and every argv ends as the top-level parser would end it."""
+
+    @pytest.mark.parametrize("argv", ODD_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_outcome_as_the_top_level_parser(self, argv, monkeypatch):
+        # argparse prints help and usage to the sys.stdout and sys.stderr
+        # it finds when it prints, so run_quietly captures both paths
+        got = run_quietly(argv)
+        monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        assert got == run_quietly(argv)
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        argv = ["spectrum", *A23, "--frobnicate"]
+        monkeypatch.setattr(sys, "argv", ["pcs-spectra", *argv])
+        assert run_quietly(None) == run_quietly(argv)
+
+    def test_a_valid_call_parses_once(self, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run_quietly(["analyze", *A23])[0] == 0
+        # the console script's run() reads sys.argv, in one pass too
+        monkeypatch.setattr(sys, "argv", ["pcs-spectra", "spectrum", *A23])
+        assert run_quietly(None)[0] == 0
+        assert calls == ["pcs-spectra analyze", "pcs-spectra spectrum"]
+
+    def test_command_table_is_the_handlers(self):
+        # the table is read off argparse's private _SubParsersAction, so
+        # this pins that reading: one parser per handler, in order
+        parser, commands = cli._parser()
+        assert list(commands) == list(cli._HANDLERS)
+        assert [sp.prog for sp in commands.values()] == [
+            f"{parser.prog} {name}" for name in cli._HANDLERS
+        ]
 
 
 class _Float(float):

@@ -114,12 +114,13 @@ def test_closed_form_commands_never_load_scipy():
     # and sl2 reports its four residuals as plain floats. verify's dense
     # solves run on numpy.linalg, so it loads no scipy either. The
     # package and cli load numerics and sl2 only when a name of theirs
-    # is read, so a closed-form call compiles neither
+    # is read, so a closed-form call compiles neither. No closed-form
+    # command logs, so logging, which numerics imports, is pinned too
     out = _fresh("""
         import contextlib, io, json, sys
 
         def loaded():
-            names = ("numpy", "scipy", "pcs_spectra.numerics", "pcs_spectra.sl2")
+            names = ("logging", "numpy", "scipy", "pcs_spectra.numerics", "pcs_spectra.sl2")
             return [name for name in names if name in sys.modules]
 
         import pcs_spectra
@@ -164,7 +165,7 @@ def test_closed_form_commands_never_load_scipy():
             "import": [],
             "closed": [],
             "sl2": ["pcs_spectra.sl2"],
-            "verify": ["numpy", "pcs_spectra.numerics", "pcs_spectra.sl2"],
+            "verify": ["logging", "numpy", "pcs_spectra.numerics", "pcs_spectra.sl2"],
         },
         "checks": {"same": True, "cli": True, "lazy": True, "star": True},
     }
