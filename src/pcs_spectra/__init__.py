@@ -5,10 +5,10 @@ potentials, the PT constraint, the exchanged pair of superpotentials
 and their two level towers, the bifurcation of the spectrum into
 conjugate pairs as the PT-breaking parameter moves off zero, and the
 algebraic (m, b) labels realizing the same wells. The numerics half
-re-derives the spectra from a finite-difference eigensolver that is
-never told where a level is: the closed forms only size its box, cap
-the real part it searches and are matched against what it finds, so
-each analytic claim is checked by an independent route. The cli module
+re-derives the spectra from two dense sinc-collocation eigensolves
+that are never told where a level is: the closed forms only size
+their box, cap the real part kept and are matched against what they
+find, so each analytic claim is checked by an independent route. The cli module
 exposes both halves as the `pcs-spectra` command.
 
 Importing the package loads core, errors and spectra. numerics and sl2,

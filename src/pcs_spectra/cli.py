@@ -131,7 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--L", type=float, default=None, help="half-width of the box")
         sp.add_argument(
             "--no-auto-domain",
-            action="store_true",
+            dest="auto_domain",
+            action="store_false",
+            default=None,
             help="never enlarge the box beyond L (slow-decaying states then fail loudly)",
         )
 
@@ -288,8 +290,6 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
         for key in _CONFIG_FIELDS
         if getattr(args, key, None) is not None
     }
-    if getattr(args, "no_auto_domain", False):
-        given["auto_domain"] = False
     command = args.command
     if args.config:
         overrides = _load_config(args.config)

@@ -16,11 +16,11 @@ is certified when its energies at the two steps agree within half of
 tol_match, judged on the cluster mean of a multiple level, whose
 members split on the square-root scale while their mean does not. The
 two solves do not depend on each other and run side by side: the one
-at h, which takes eigenvectors for the leak gate, on a worker thread,
-because numpy's eig releases the GIL for its LAPACK call, while
-eigvals, the solve at h/1.25, releases it only for matrices of more
-than 500 rows and holds it for its whole call below that (numpy
-2.4.6). Their values, and so every report, are the same as one after
+at h, which takes eigenvectors for the leak gate, on the one thread of
+a concurrent.futures pool, because numpy's eig releases the GIL for
+its LAPACK call, while eigvals, the solve at h/1.25, releases it only
+for matrices of more than 500 rows and holds it for its whole call
+below that (numpy 2.4.6). Their values, and so every report, are the same as one after
 the other.
 
 bound_spectrum, the blind scan, polishes on the finite-difference
@@ -569,8 +569,7 @@ def bound_spectrum(
 
     for s in seeds:
         keep(solve(complex(s)))
-    census = [z for z, _ in _sinc_spectrum(v, sinc, False)]
-    census = [z for z in census if z.real < re_limit and not _box_continuum(z, grid.L)]
+    census = [z for z, _ in _sinc_spectrum(v, sinc, False) if _kept(z, re_limit, grid.L)]
     # census value -> the conjugate state it is owed in place of a solve
     owed: dict[complex, EigenResult] = {}
     for i, z in enumerate(census):
@@ -689,6 +688,11 @@ def _box_continuum(z: complex, L: float, floor: float = 0.0) -> bool:
     return z.real > -floor and _decay_rate(z) < _CENSUS_MIN_DECAY_FOLDS / L
 
 
+def _kept(z: complex, limit: float, L: float, floor: float = 0.0) -> bool:
+    # a sinc value that is a state: below limit, not box continuum on L
+    return z.real < limit and not _box_continuum(z, L, floor)
+
+
 def _auto_grid(base: Grid, levels, alpha: float) -> Grid:
     kappas = [_decay_rate(lv.energy) for lv in levels]
     kappa_min = min(kappas)
@@ -802,12 +806,13 @@ def _sinc_spectrum(v: PotentialCoefficients, grid: Grid, leaks: bool):
 
 
 def _greedy_match(levels, numeric):
-    # nearest-pair assignment with per-level capacity: a level of
-    # multiplicity k absorbs up to k numeric eigenvalues. A simple level
-    # captures within 1e-3, a thousand times DEFAULT_TOL_MATCH. A
-    # defective level is split by the h^2 perturbation into a cluster on
-    # the sqrt scale, far wider than a simple level's matching error, so
-    # its capture radius opens up to 1e-2. Taking the pairs in (distance,
+    # nearest-pair assignment of the complex energies numeric to levels,
+    # with per-level capacity: a level of multiplicity k absorbs up to k
+    # of them. A simple level captures within 1e-3, a thousand times
+    # DEFAULT_TOL_MATCH. A defective level is split by the h^2
+    # perturbation into a cluster on the sqrt scale, far wider than a
+    # simple level's matching error, so its capture radius opens up to
+    # 1e-2. Taking the pairs in (distance,
     # level, state) order is the repeated nearest-pair scan: a pair whose
     # level filled up or whose state was taken never becomes valid again.
     assigned: list[list[int]] = [[] for _ in levels]
@@ -816,8 +821,8 @@ def _greedy_match(levels, numeric):
     pairs = sorted(
         (dist, i, j)
         for i, lv in enumerate(levels)
-        for j, r in enumerate(numeric)
-        if (dist := abs(lv.energy - r.energy)) <= radii[i]
+        for j, z in enumerate(numeric)
+        if (dist := abs(lv.energy - z)) <= radii[i]
     )
     for _, i, j in pairs:
         if j in free and len(assigned[i]) < levels[i].multiplicity:
@@ -850,8 +855,9 @@ def verify_spectrum(
     one at h/1.25, numpy's eigvals, runs on the calling thread, since
     it holds the GIL for its whole call on matrices of at most 500 rows
     (numpy 2.4.6), so two eigvals could not overlap on most wells. The
-    worker is joined before the call returns or raises, and an error it
-    raised is raised to the caller.
+    worker is a one-thread ThreadPoolExecutor, joined before the call
+    returns or raises: an error from the calling thread's solve is
+    raised after the join, and otherwise one from the worker's.
 
     The numeric states are the eigenvalues at h/1.25 below re_limit, and
     below the energies the step resolves, less the census's box
@@ -914,71 +920,40 @@ def verify_spectrum(
             f"cannot be told from the box continuum"
         )
     # the eig solve on a worker, the eigvals solve here (see above)
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
-    solved = {}
-
-    def solve_coarse():
-        try:
-            solved["coarse"] = _sinc_spectrum(v, coarse_grid, True)
-        except BaseException as exc:
-            solved["error"] = exc
-
-    worker = threading.Thread(target=solve_coarse, name="verify-coarse-solve")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="verify-coarse-solve") as pool:
+        job = pool.submit(_sinc_spectrum, v, coarse_grid, True)
         fine = _sinc_spectrum(v, fine_grid, False)
-    finally:
-        worker.join()
-    if "error" in solved:
-        raise solved.pop("error")
-    coarse = solved["coarse"]
-
+    coarse = job.result()
     # below re_limit and below the energies the step resolves, less the
     # box continuum: the census's rule, with the threshold widened by
     # the rounding floor
     limit = min(re_limit, _wave_squared(v))
-
-    def kept(z: complex) -> bool:
-        return z.real < limit and not _box_continuum(z, geff.L, floor)
-
-    states = []
-    for z, leak in coarse:
-        if not kept(z):
-            continue
+    states = [(z, leak) for z, leak in coarse if _kept(z, limit, geff.L, floor)]
+    for z, leak in states:
         if leak > DEFAULT_MAX_LEAK:
             raise DomainTooSmall(
                 f"state at E = {z} leaks {leak:.3e} through the box edge at "
                 f"L = {geff.L}; enlarge the domain"
             )
-        states.append(EigenResult(energy=z, residual=0.0, boundary_leak=leak, iterations=0))
-    # each state of the finer solve, with the distance to and the leak of
-    # the nearest value of the coarser
-    found = []
-    for z, _ in fine:
-        if kept(z):
-            near, leak = min(coarse, key=lambda value: abs(value[0] - z))
-            found.append(
-                EigenResult(energy=z, residual=abs(z - near), boundary_leak=leak, iterations=0)
-            )
+    found = [z for z, _ in fine if _kept(z, limit, geff.L, floor)]
 
     assigned, left, right = _greedy_match(levels, found)
-    partners, _, _ = _greedy_match(levels, states)
+    partners, _, _ = _greedy_match(levels, [z for z, _ in states])
     matches = []
-    for i, js in enumerate(assigned):
+    for lv, js, ks in zip(levels, assigned, partners):
         if not js:
             continue
         # a defective level's conjugate-pair splitting cancels in the
         # cluster mean, which is the second-order-accurate estimate of
         # the eigenvalue itself; so the level is judged by its mean at
         # each step, not by its members
-        mean = sum(found[j].energy for j in js) / len(js)
-        coarser = [states[j] for j in partners[i]]
+        mean = sum(found[j] for j in js) / len(js)
         agreement = math.inf
-        if len(coarser) == len(js):
-            agreement = abs(mean - sum(r.energy for r in coarser) / len(coarser))
+        if len(ks) == len(js):
+            agreement = abs(mean - sum(states[k][0] for k in ks) / len(ks))
         if not agreement <= _AGREEMENT_FRACTION * DEFAULT_TOL_MATCH:
-            lv = levels[i]
             raise DomainTooSmall(
                 f"{lv.series} level {lv.n} at E = {lv.energy}: the sinc solves at xi "
                 f"steps {_xi_step(coarse_grid, p.alpha):.4g} and "
@@ -988,17 +963,22 @@ def verify_spectrum(
             )
         matches.append(
             MatchedLevel(
-                analytic=levels[i],
+                analytic=lv,
                 numeric=mean,
                 residual=agreement,
-                boundary_leak=max(r.boundary_leak for r in coarser),
-                abs_err=abs(mean - levels[i].energy),
+                boundary_leak=max(states[k][1] for k in ks),
+                abs_err=abs(mean - lv.energy),
             )
         )
-    matches.sort(key=lambda m: energy_sort_key(m.analytic.energy))
-    matches = tuple(matches)
     max_err = max((m.abs_err for m in matches), default=0.0)
     passed = not left and not right and max_err <= DEFAULT_TOL_MATCH
+
+    def leftover(z: complex) -> EigenResult:
+        # a state of the finer solve, with the distance to and the leak of
+        # the nearest value of the coarser
+        near, leak = min(coarse, key=lambda value: abs(value[0] - z))
+        return EigenResult(energy=z, residual=abs(z - near), boundary_leak=leak, iterations=0)
+
     return VerificationReport(
         passed=passed,
         params=p,
@@ -1007,8 +987,8 @@ def verify_spectrum(
         grid=geff,
         re_limit=re_limit,
         tol_match=DEFAULT_TOL_MATCH,
-        matches=matches,
+        matches=tuple(matches),
         unmatched_analytic=tuple(levels[i] for i in left),
-        unmatched_numeric=tuple(found[j] for j in right),
+        unmatched_numeric=tuple(leftover(found[j]) for j in right),
         max_abs_err=max_err,
     )

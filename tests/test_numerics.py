@@ -769,6 +769,41 @@ class TestVerifySpectrum:
             for m, r in zip(rep.matches, ref.matches):
                 assert abs(m.numeric - r.numeric) <= 1e-9
 
+    def test_reports_read_the_coarser_solve(self, monkeypatch):
+        # a left-over state's residual is its distance to the nearest
+        # value of the coarser solve, and its leak is that value's leak; a
+        # match's leak is the largest among its partners at that step
+        spectrum = numerics._sinc_spectrum
+        solves = []
+
+        def recording(v, grid, leaks):
+            pairs = spectrum(v, grid, leaks)
+            if leaks:
+                solves.append(pairs)
+            return pairs
+
+        monkeypatch.setattr(numerics, "_sinc_spectrum", recording)
+        two_series = numerics.two_series_spectrum
+
+        def without_series1(*args, **kwargs):
+            s1, s2 = two_series(*args, **kwargs)
+            return dataclasses.replace(s1, energies=()), s2
+
+        with mock.patch.object(numerics, "two_series_spectrum", without_series1):
+            edited = verify_spectrum(SusyParams(2, 3, 0, 1))
+        exceptional = verify_spectrum(SusyParams(2, 2.5, 0, 1))
+        edited_pairs, exceptional_pairs = solves
+        assert [round(u.energy.real, 6) for u in edited.unmatched_numeric] == [-4.0, -1.0]
+        for u in edited.unmatched_numeric:
+            near, leak = min(edited_pairs, key=lambda pair: abs(pair[0] - u.energy))
+            assert (u.residual, u.boundary_leak) == (abs(u.energy - near), leak)
+        for rep, pairs in ((edited, edited_pairs), (exceptional, exceptional_pairs)):
+            assert rep.matches
+            for m in rep.matches:
+                by_distance = sorted(pairs, key=lambda pair: abs(pair[0] - m.analytic.energy))
+                partners = by_distance[: m.analytic.multiplicity]
+                assert m.boundary_leak == max(leak for _, leak in partners)
+
     def test_no_auto_domain_fails_loudly(self):
         with pytest.raises(DomainTooSmall):
             verify_spectrum(SusyParams(2.5, 3.2, 0, 1), L=8.0, auto_domain=False)
@@ -780,6 +815,7 @@ class TestVerifySpectrum:
         assert rep.max_abs_err <= 1e-6
         # each level's cluster is an exact conjugate pair
         assert [m.numeric.imag for m in rep.matches] == [0.0, 0.0]
+        assert [m.analytic for m in rep.matches] == numerics._analytic_levels(rep.params, PLUS)
 
     @pytest.mark.parametrize(
         "params, solves",
@@ -840,8 +876,11 @@ class TestVerifySpectrum:
     )
     def test_tower_crossing_passes(self, params):
         # A + alpha/2 - B is a nonzero multiple of alpha: one rung of each
-        # tower predicts the same energy
-        assert verify_spectrum(params).passed
+        # tower predicts the same energy, and the matches keep the order
+        # of the levels
+        rep = verify_spectrum(params)
+        assert rep.passed
+        assert [m.analytic for m in rep.matches] == numerics._analytic_levels(params, PLUS)
 
     @pytest.mark.parametrize(
         "params",
@@ -868,6 +907,8 @@ class TestVerifySpectrum:
             numerics._canonical_sinc.cache_clear()
             fresh.append(verify(branch))
         assert after == before == fresh
+        if not isinstance(fresh[0], str):
+            assert [m.analytic for m in fresh[0].matches] == numerics._analytic_levels(params, PLUS)
 
     @pytest.mark.parametrize(
         "params",
