@@ -9,7 +9,9 @@ deterministic: fixed field order, shortest round-trip floats, LF line
 endings. JSON is written by _to_json, byte for byte json.dumps(indent=2)
 at a fraction of its cost: json takes its pure-Python generator encoder
 whenever it indents. Payloads carry complex numbers as they are, and the
-writer spells each one as the object {"re": ..., "im": ...}.
+writer spells each one as the object {"re": ..., "im": ...}. It writes
+a bifurcation point in one f-string, and takes the minus branch's text
+from the plus branch's by negating every "im" value.
 
 A known command's flags are parsed once, by that command's own parser;
 any other argv goes to the top-level parser, so help, usage lines and
@@ -533,24 +535,14 @@ def _cmd_bifurcation(cfg: RunConfig):
     p0 = cfg.params
     c_grid = _c_grid(cfg.c_min, cfg.c_max, cfg.steps)
     sweep = list(_sweep(p0, c_grid))
-    points = []
+    points = _Points()
     for c, plus, minus in sweep:
         (_, plus1, _), (_, plus2, _) = plus
         (_, minus1, _), (_, minus2, _) = minus
         energies_plus = _branch_energies(plus1, plus2)
         # at C = 0 both branches hold the plus towers
         energies_minus = energies_plus if minus is plus else _branch_energies(minus1, minus2)
-        points.append(
-            {
-                "C": c,
-                "energies_plus": energies_plus,
-                "energies_minus": energies_minus,
-                # the sweep takes each minus tower as the exact conjugate
-                # of the plus tower of its label, so their distance is 0.0
-                # by construction; the key stays for SCHEMA_VERSION 1.0
-                "conjugacy_err": 0.0,
-            }
-        )
+        points.append((c, energies_plus, energies_minus))
     data = _head(cfg)
     data["c_grid"] = c_grid
     data["points"] = points
@@ -639,7 +631,8 @@ def _layout(indent: str) -> tuple[str, str, str, str, str]:
 def _to_json(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2) for the values a report holds: dicts
     with str keys, lists, tuples, str, int, float, bool and None, with
-    each complex z written as the dict {"re": z.real, "im": z.imag}."""
+    each complex z written as the dict {"re": z.real, "im": z.imag}, and
+    a bifurcation report's _Points as the list of its points' dicts."""
     cls = type(obj)
     # an exact dict, list or tuple, most of a report, skips the chain of
     # leaf types below; a subclass takes it
@@ -671,6 +664,8 @@ def _to_json(obj, indent: str = "") -> str:
 
 def _container_json(obj, indent: str) -> str:
     # _to_json of a dict, list or tuple, subclasses included
+    if type(obj) is _Points and obj:
+        return _points_json(obj, indent)
     inner, sep = _layout(indent)[:2]
     if isinstance(obj, dict):
         if not obj:
@@ -693,6 +688,51 @@ def _container_json(obj, indent: str) -> str:
         ]
         return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+class _Points(list):
+    """The bifurcation report's points as (C, energies_plus, energies_minus)
+    triples, each written as the dict of those keys and "conjugacy_err",
+    kept at 0.0 for SCHEMA_VERSION 1.0: the sweep takes each minus tower
+    as the exact conjugate of the plus tower of its label."""
+
+
+def _flip_im(text: str) -> str:
+    # text with every "im" value negated: for a finite x, repr(-x) is
+    # "-" + repr(x), or repr(x)[1:] when x is negative, zeros included
+    text = text.replace('"im": -', '"im": +').replace('"im": ', '"im": -')
+    return text.replace('"im": -+', '"im": ')
+
+
+def _points_json(points: _Points, indent: str) -> str:
+    # _to_json of the points' dicts, one f-string per point. The minus
+    # text is the plus text at C = 0, and _flip_im of it when the minus
+    # energies equal the plus energies conjugated, in order. That is exact:
+    # the minus towers are the plus towers conjugated, both branches
+    # stable-sort series1 + series2 by (Re, Im), and the == check holds
+    # only when the conjugated plus list is sorted as well, so both sorts
+    # permute alike and each minus energy is its plus partner's conjugate
+    # to the bit, down to the sign of a zero. Any other point (a non-finite
+    # part, a C that is not a finite float, no levels, or a conjugate pair
+    # with equal Re on one branch) takes the generic path.
+    inner, sep = _layout(indent)[:2]
+    key = inner + "  "
+    at, at_sep = _layout(key)[:2]
+    head, mid, tail = _layout(at)[2:]
+    items = []
+    for c, plus, minus in points:
+        if not (type(c) is float and math.isfinite(c) and plus and all(map(cmath.isfinite, plus))
+                and (minus is plus or minus == tuple(map(complex.conjugate, plus)))):
+            point = {"C": c, "energies_plus": plus, "energies_minus": minus, "conjugacy_err": 0.0}
+            items.append(_to_json(point, inner))
+            continue
+        text = at_sep.join([f"{head}{z.real!r}{mid}{z.imag!r}{tail}" for z in plus])
+        text = f"[\n{at}{text}\n{key}]"
+        items.append(
+            f'{{\n{key}"C": {c!r},\n{key}"energies_plus": {text},\n{key}"energies_minus": '
+            f'{text if minus is plus else _flip_im(text)},\n{key}"conjugacy_err": 0.0\n{inner}}}'
+        )
+    return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
 
 
 def _render_csv(rows) -> str:
